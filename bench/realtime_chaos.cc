@@ -57,6 +57,7 @@ ExperimentConfig chaos_config(System sys) {
   // RTO above the worst modeled RTT (2 x 68 ms) so loss-free channels never
   // retransmit spuriously; fast retransmit recovers busy channels in ~RTT.
   cfg.reliable_cfg.rto_us = 200'000;
+  cfg.reliable_cfg.adaptive_rto = false;
   cfg.reliable_cfg.max_rto_us = 1'000'000;
   cfg.warmup_us = 500'000;
   cfg.measure_us = fast_mode() ? 1'000'000 : 4'000'000;

@@ -62,6 +62,7 @@ ExperimentConfig recovery_config(bool kill) {
   cfg.aws_latency = false;  // loopback question: no WAN model on top
   cfg.reliable = true;
   cfg.reliable_cfg.rto_us = 60'000;
+  cfg.reliable_cfg.adaptive_rto = false;
   cfg.reliable_cfg.max_rto_us = 500'000;
   cfg.check_consistency = true;  // the healed history must also be CORRECT
   cfg.warmup_us = 500'000;

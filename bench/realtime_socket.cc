@@ -74,6 +74,7 @@ ExperimentConfig socket_config(bool sockets) {
   cfg.aws_latency = false;  // loopback question: no WAN model on top
   cfg.reliable = true;
   cfg.reliable_cfg.rto_us = 60'000;
+  cfg.reliable_cfg.adaptive_rto = false;
   cfg.reliable_cfg.max_rto_us = 500'000;
   cfg.warmup_us = 500'000;
   cfg.measure_us = fast_mode() ? 1'000'000 : 3'000'000;

@@ -188,8 +188,17 @@ std::unique_ptr<runtime::ReliableTransport> build_reliable_tp(const DeploymentCo
   // retransmissions of the dead channel can never mingle with the
   // renumbered stream (threads/sim stay at epoch 0 throughout).
   if (auto* sb = dynamic_cast<runtime::SocketBackend*>(&be)) rc.self_epoch = sb->epoch();
+  // Framing rule (DESIGN §9): a fault decorator below may lose or repeat a
+  // frame on any channel, so then every channel is framed. Without one,
+  // only a channel to a node another process hosts can lose frames (a dead
+  // socket drops what it held); in-process mailboxes are lossless and FIFO,
+  // so those sends pass through unframed.
+  const bool faults_below = cfg.chaos.enabled() || cfg.partitions.enabled() ||
+                            cfg.wan.enabled() || cfg.fuzz.enabled();
+  runtime::ReliableTransport::FrameRule frame_to;
+  if (!faults_below) frame_to = [&be](NodeId to) { return !be.local(to); };
   return std::make_unique<runtime::ReliableTransport>(
-      below != nullptr ? *below : be.transport(), be.exec(), rc);
+      below != nullptr ? *below : be.transport(), be.exec(), rc, std::move(frame_to));
 }
 
 runtime::Transport* first_nonnull(std::initializer_list<runtime::Transport*> ts) {

@@ -79,10 +79,12 @@ struct DeploymentConfig {
   runtime::LatencyModelKind latency_model = runtime::LatencyModelKind::kNone;
   /// Threads backend only: fault-injection decorator (off by default).
   runtime::ChaosConfig chaos;
-  /// Threads backend only: at-least-once reliable delivery. Wraps every
-  /// protocol message in a sequenced frame with retransmission + dedup, so
-  /// chaos drops and partitions of ANY message class still converge
-  /// (DESIGN.md §9). Off by default: the undecorated path pays nothing.
+  /// Threads/sockets: at-least-once reliable delivery. Wraps protocol
+  /// messages in sequenced frames with retransmission + dedup, so chaos
+  /// drops and partitions of ANY message class still converge (DESIGN.md
+  /// §9). Only channels that can lose a frame are framed: every channel
+  /// under a fault decorator, else only channels to another process. Off
+  /// by default: the undecorated path pays nothing.
   bool reliable = false;
   runtime::ReliableConfig reliable_cfg;
   /// Threads backend only: scheduled inter-DC blackouts (messages crossing

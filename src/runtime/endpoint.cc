@@ -2,6 +2,8 @@
 
 #include <arpa/inet.h>
 #include <netdb.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -113,6 +115,29 @@ std::vector<Endpoint> loopback_host_list(std::uint32_t nprocs, std::uint16_t bas
   hosts.reserve(nprocs);
   for (std::uint32_t r = 0; r < nprocs; ++r)
     hosts.push_back(Endpoint{"127.0.0.1", static_cast<std::uint16_t>(base_port + r)});
+  return hosts;
+}
+
+std::vector<Endpoint> free_loopback_host_list(std::uint32_t nprocs) {
+  std::vector<int> fds;
+  std::vector<Endpoint> hosts;
+  for (int attempt = 0; hosts.size() < nprocs && attempt < 64; ++attempt) {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) break;
+    fds.push_back(fd);
+    sockaddr_in a{};
+    a.sin_family = AF_INET;
+    a.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(a);
+    if (bind(fd, reinterpret_cast<sockaddr*>(&a), sizeof(a)) != 0 ||
+        getsockname(fd, reinterpret_cast<sockaddr*>(&a), &len) != 0) {
+      continue;
+    }
+    const std::uint16_t port = ntohs(a.sin_port);
+    if (port < 7400 || port >= 8000) hosts.push_back(Endpoint{"127.0.0.1", port});
+  }
+  for (const int fd : fds) close(fd);
+  if (hosts.size() != nprocs) hosts.clear();
   return hosts;
 }
 

@@ -47,6 +47,13 @@ std::string format_host_list(const std::vector<Endpoint>& hosts);
 /// 127.0.0.1:(base_port + r). The only sanctioned base_port + rank site.
 std::vector<Endpoint> loopback_host_list(std::uint32_t nprocs, std::uint16_t base_port);
 
+/// One free 127.0.0.1 endpoint per rank, found by binding port 0 (all
+/// probe sockets stay bound until every port is chosen, so the ranks
+/// differ). Ports in the fixed loopback registry band 7400-7999 (DESIGN
+/// §13) are skipped. Lets a test own its cluster's ports instead of taking
+/// a registry row; empty when the kernel hands out too few ports.
+std::vector<Endpoint> free_loopback_host_list(std::uint32_t nprocs);
+
 /// Resolves to an IPv4 socket address: inet_pton for dotted quads, else a
 /// getaddrinfo lookup (AF_INET). Returns false with *err set when the host
 /// does not resolve.

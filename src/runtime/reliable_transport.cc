@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -56,7 +57,8 @@ class ReliableTransport::Endpoint final : public Actor {
       case wire::MsgType::kReliableAck:
         return handle_ack(from, static_cast<const wire::ReliableAck&>(m));
       default:
-        // Unframed traffic (e.g. from an unwrapped test node) passes through.
+        // Unframed traffic (a channel the framing rule leaves bare, or an
+        // unwrapped test node) passes through.
         real_->on_message(from, m);
     }
   }
@@ -154,7 +156,8 @@ class ReliableTransport::Endpoint final : public Actor {
   /// RTO is on and primed, the configured constant otherwise.
   std::uint64_t base_rto(const SendChannel& ch) const {
     if (rt_.cfg_.adaptive_rto && ch.rtt.primed()) {
-      return ch.rtt.rto_us(rt_.cfg_.min_rto_us, rt_.cfg_.max_rto_us);
+      return ch.rtt.rto_us(rt_.cfg_.min_rto_us, rt_.cfg_.max_rto_us,
+                           rt_.cfg_.effective_scan_period_us());
     }
     return rt_.cfg_.rto_us;
   }
@@ -316,12 +319,17 @@ class ReliableTransport::Endpoint final : public Actor {
       ch.window.pop_front();
       ++ch.acked;
     }
-    if (sample_from != 0 && now >= sample_from) {
+    const bool sampled = sample_from != 0 && now >= sample_from;
+    if (sampled) {
       ch.rtt.on_sample(now - sample_from);
       rt_.stats_.rtt_samples.fetch_add(1, std::memory_order_relaxed);
     }
     if (ch.sent < ch.acked) ch.sent = ch.acked;
-    ch.backoff = 1;  // forward progress: reset the backoff
+    // Forward progress resets the backoff. With the adaptive RTO it takes a
+    // valid sample (Karn): the ack of a retransmitted frame keeps the
+    // backed-off RTO, or a channel whose RTT exceeds its unprimed seed would
+    // time out on every frame and never get the sample that fixes it.
+    if (sampled || !rt_.cfg_.adaptive_rto) ch.backoff = 1;
     apply_sack(ch, a);
     pump(from, ch, now);  // ack-clock the queued tail out
   }
@@ -407,8 +415,9 @@ class ReliableTransport::Endpoint final : public Actor {
   TimerHandle timer_;
 };
 
-ReliableTransport::ReliableTransport(Transport& inner, Executor& exec, ReliableConfig cfg)
-    : TransportDecorator(inner), exec_(exec), cfg_(cfg) {}
+ReliableTransport::ReliableTransport(Transport& inner, Executor& exec, ReliableConfig cfg,
+                                     FrameRule frame_to)
+    : TransportDecorator(inner), exec_(exec), cfg_(cfg), frame_to_(std::move(frame_to)) {}
 
 ReliableTransport::~ReliableTransport() = default;
 
@@ -426,23 +435,27 @@ void ReliableTransport::attach(Actor* wrapped, NodeId node) {
   ep->attach(node);
 }
 
-void ReliableTransport::send(NodeId from, NodeId to, wire::MessagePtr msg) {
+ReliableTransport::Endpoint* ReliableTransport::framing_endpoint(NodeId from, NodeId to) const {
   Endpoint* ep = from < by_node_.size() ? by_node_[from] : nullptr;
-  if (ep == nullptr) {  // unwrapped sender (tests): raw passthrough
+  if (ep == nullptr || (frame_to_ && !frame_to_(to))) return nullptr;
+  return ep;
+}
+
+void ReliableTransport::send(NodeId from, NodeId to, wire::MessagePtr msg) {
+  if (Endpoint* ep = framing_endpoint(from, to)) {
+    ep->send_framed(to, *msg, /*at_us=*/0);
+  } else {
     inner_.send(from, to, std::move(msg));
-    return;
   }
-  ep->send_framed(to, *msg, /*at_us=*/0);
 }
 
 void ReliableTransport::send_at(NodeId from, NodeId to, wire::MessagePtr msg,
                                 std::uint64_t at_us) {
-  Endpoint* ep = from < by_node_.size() ? by_node_[from] : nullptr;
-  if (ep == nullptr) {
+  if (Endpoint* ep = framing_endpoint(from, to)) {
+    ep->send_framed(to, *msg, at_us);
+  } else {
     inner_.send_at(from, to, std::move(msg), at_us);
-    return;
   }
-  ep->send_framed(to, *msg, at_us);
 }
 
 ReliableTransport::Stats ReliableTransport::stats() const {

@@ -9,7 +9,8 @@
 //
 //   protocol -> [ReliableTransport] -> [Chaos] -> [Partition] -> [Latency] -> backend
 //
-//  * Every protocol message is wrapped in a wire::ReliableFrame carrying a
+//  * Every protocol message on a framed channel (see the framing rule
+//    below) is wrapped in a wire::ReliableFrame carrying a
 //    per-channel 1-based sequence number; the payload is the inner message's
 //    encode_message() bytes (frames come from the sender worker's pool, so
 //    the wrapping is allocation-free in steady state).
@@ -38,6 +39,17 @@
 //    long backlog; the receiver treats an empty payload as "advance the
 //    sequence, deliver nothing".
 //
+// Framing rule: a channel is framed only when something below the layer can
+// lose a frame on it. The owner passes that rule at construction (a
+// per-destination predicate; none = frame every channel). Every other send
+// goes to the inner transport unframed, through the same send/send_at the
+// caller used, and the receiving endpoint passes unframed messages straight
+// through: an in-process mailbox is already lossless and FIFO, so such a
+// channel needs no seq, no ack, no window entry and no second encode.
+// Deployment frames every channel when a fault decorator (chaos,
+// partition, WAN, fuzz) sits below, and otherwise only the channels to
+// nodes another process hosts (a dead socket drops what it held).
+//
 // Acks (wire::ReliableAck) are sent through the inner transport UNframed:
 // they are idempotent and self-healing — a lost ack is re-elicited by the
 // retransmission it fails to suppress, a duplicate or stale ack is ignored.
@@ -49,9 +61,11 @@
 // once, in order, per channel) is schedule-independent, which is what the
 // exactness/causal checkers verify.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -64,7 +78,10 @@
 namespace paris::runtime {
 
 struct ReliableConfig {
-  /// Retransmit the window once its oldest frame has been unacked this long.
+  /// Retransmit the window once its oldest frame has been unacked this long:
+  /// the fixed RTO with adaptive_rto off, else the RTO of a channel before
+  /// its first RTT sample. Also derives the scan period and the
+  /// fast-retransmit guard below.
   std::uint64_t rto_us = 100'000;
   /// Backoff cap: consecutive silent retransmission rounds double the
   /// effective RTO up to this bound (recovery latency after a heal is at
@@ -98,12 +115,13 @@ struct ReliableConfig {
   /// can afford more, but the tail past the cap is re-covered by
   /// retransmission anyway).
   std::size_t max_sack_ranges = 8;
-  /// Adaptive RTO (Jacobson/Karels, per channel): retransmission timeouts
-  /// derive from measured RTTs (srtt + 4*rttvar, clamped to
-  /// [min_rto_us, max_rto_us]) instead of the fixed rto_us, which then only
-  /// seeds unprimed channels. Removes the per-scenario RTO tuning the
-  /// WAN/chaos benches needed (CLI: --reliable-rto-ms=auto).
-  bool adaptive_rto = false;
+  /// Adaptive RTO (Jacobson/Karels, per channel; the default): retransmission
+  /// timeouts derive from measured RTTs (RttEstimator::rto_us with the scan
+  /// period as granularity) instead of the fixed rto_us, which then only
+  /// seeds unprimed channels, so no channel retransmits before its measured
+  /// RTT. Only a valid sample resets a channel's backoff (Karn). false pins
+  /// the fixed rto_us (CLI: --reliable-rto-ms=R).
+  bool adaptive_rto = true;
   /// Floor for the adaptive RTO: loopback RTTs are microseconds, and an
   /// RTO that small turns scheduling hiccups into retransmission storms.
   std::uint64_t min_rto_us = 5'000;
@@ -122,9 +140,9 @@ struct ReliableConfig {
 };
 
 /// Jacobson/Karels RTT estimator (integer µs): srtt is an EWMA (gain 1/8),
-/// rttvar a mean-deviation EWMA (gain 1/4), rto = srtt + 4*rttvar. Samples
-/// must follow Karn's rule — never taken from a retransmitted frame, whose
-/// ack is ambiguous. Standalone so its convergence properties are unit-
+/// rttvar a mean-deviation EWMA (gain 1/4), rto = srtt + max(G, 4*rttvar)
+/// with G the timer granularity (RFC 6298 §2). Samples must follow Karn's
+/// rule — never taken from a retransmitted frame, whose ack is ambiguous. Standalone so its convergence properties are unit-
 /// testable without a transport.
 class RttEstimator {
  public:
@@ -145,9 +163,15 @@ class RttEstimator {
   std::uint64_t rttvar_us() const { return rttvar_us_; }
   std::uint64_t samples() const { return samples_; }
 
-  /// srtt + 4*rttvar clamped to [min_us, max_us]; min_us when unprimed.
-  std::uint64_t rto_us(std::uint64_t min_us, std::uint64_t max_us) const {
-    const std::uint64_t raw = srtt_us_ + 4 * rttvar_us_;
+  /// srtt + max(granularity_us, 4*rttvar) clamped to [min_us, max_us];
+  /// min_us when unprimed. The granularity term keeps a channel whose
+  /// rttvar has decayed to almost nothing (a fixed-delay link) from timing
+  /// out on the first scheduling hiccup; the reliable layer passes its scan
+  /// period, the resolution at which it can notice a timeout anyway.
+  std::uint64_t rto_us(std::uint64_t min_us, std::uint64_t max_us,
+                       std::uint64_t granularity_us = 0) const {
+    if (samples_ == 0) return min_us;
+    const std::uint64_t raw = srtt_us_ + std::max(granularity_us, 4 * rttvar_us_);
     return raw < min_us ? min_us : (raw > max_us ? max_us : raw);
   }
 
@@ -175,7 +199,13 @@ class ReliableTransport final : public TransportDecorator {
     std::uint64_t fenced_frames = 0;     ///< frames stamped for another incarnation
   };
 
-  ReliableTransport(Transport& inner, Executor& exec, ReliableConfig cfg);
+  /// True when sends toward `to` must be framed (see the framing rule
+  /// above). Evaluated per send from worker threads, so it must be pure.
+  using FrameRule = std::function<bool(NodeId to)>;
+
+  /// An empty `frame_to` frames every channel.
+  ReliableTransport(Transport& inner, Executor& exec, ReliableConfig cfg,
+                    FrameRule frame_to = {});
   ~ReliableTransport() override;
 
   /// Returns the interposer to register with the backend IN PLACE OF
@@ -210,8 +240,13 @@ class ReliableTransport final : public TransportDecorator {
  private:
   class Endpoint;
 
+  /// The sender's endpoint when the from->to channel is framed, else null
+  /// (unwrapped sender or a channel the rule leaves unframed).
+  Endpoint* framing_endpoint(NodeId from, NodeId to) const;
+
   Executor& exec_;
   ReliableConfig cfg_;
+  FrameRule frame_to_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;  ///< fixed before start
   std::vector<Endpoint*> by_node_;                    ///< index = NodeId
 

@@ -196,7 +196,10 @@ void apply_scenario(const Scenario& s, workload::ExperimentConfig& cfg) {
   // The scenario contract: ANY schedule must converge checker-clean, which
   // needs at-least-once delivery under the fault load.
   cfg.reliable = true;
+  // A schedule pins its own fixed RTO, so a corpus replay keeps the
+  // retransmission timing its schedule was minimized under.
   cfg.reliable_cfg.rto_us = s.rto_us;
+  cfg.reliable_cfg.adaptive_rto = false;
   cfg.reliable_cfg.max_rto_us = s.max_rto_us;
   if (s.runtime == runtime::Kind::kSockets) {
     cfg.socket.processes = s.socket_processes;

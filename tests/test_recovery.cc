@@ -368,6 +368,7 @@ workload::ExperimentConfig kill_under_load_config(System sys, std::uint16_t base
   cfg.measure_us = 2'500'000;
   cfg.reliable = true;
   cfg.reliable_cfg.rto_us = 50'000;
+  cfg.reliable_cfg.adaptive_rto = false;
   cfg.check_consistency = true;
   cfg.aws_latency = false;
   cfg.seed = seed;

@@ -1,8 +1,10 @@
 // ReliableTransport tests: exactly-once in-order delivery over deterministic
 // message loss, duplicate-ack tolerance, retransmit-after-heal through a
 // PartitionTransport blackout, latest-wins coalescing, window recycling
-// under sustained loss, and end-to-end convergence — chaos may drop ANY
-// message class and the exactness + causal + session checkers stay green.
+// under sustained loss, end-to-end convergence — chaos may drop ANY
+// message class and the exactness + causal + session checkers stay green —
+// the framing rule (only channels that can lose a frame are framed) and the
+// adaptive-RTO default.
 
 #include <gtest/gtest.h>
 
@@ -116,6 +118,7 @@ struct Rig {
 ReliableConfig fast_rto() {
   ReliableConfig cfg;
   cfg.rto_us = 5'000;
+  cfg.adaptive_rto = false;
   cfg.max_rto_us = 20'000;  // tight backoff cap keeps lossy tests fast
   return cfg;
 }
@@ -219,6 +222,7 @@ TEST(ReliableTransport, WindowRecyclingSurvivesSustainedLoss) {
   lossy.drop_frame = [](std::uint64_t i) { return splitmix64(i ^ 0x5105) % 4 == 0; };
   ReliableConfig cfg;
   cfg.rto_us = 3'000;
+  cfg.adaptive_rto = false;
   cfg.max_rto_us = 9'000;
   Rig rig(be, lossy, cfg);
 
@@ -254,6 +258,7 @@ TEST(ReliableTransport, InFlightCapBoundsBlackoutProbes) {
   FaultyTransport counter(part);  // no drops; counts frame transmissions
   ReliableConfig cfg;
   cfg.rto_us = 5'000;
+  cfg.adaptive_rto = false;
   cfg.max_rto_us = 20'000;
   cfg.max_in_flight = 8;
   Rig rig(be, counter, cfg);
@@ -449,6 +454,41 @@ TEST(AdaptiveRto, EstimatorConvergesUnderJitteredRtts) {
   runtime::RttEstimator cold;
   EXPECT_FALSE(cold.primed());
   EXPECT_EQ(cold.rto_us(7'000, 2'000'000), 7'000u) << "unprimed: the floor";
+
+  // Granularity (RFC 6298): on a fixed-delay link rttvar decays to nothing,
+  // and the G term keeps the RTO that far above srtt anyway.
+  runtime::RttEstimator fixed;
+  for (int i = 0; i < 100; ++i) fixed.on_sample(50'000);
+  EXPECT_EQ(fixed.rto_us(5'000, 2'000'000), 50'000u);
+  EXPECT_EQ(fixed.rto_us(5'000, 2'000'000, 20'000), 70'000u);
+  EXPECT_EQ(cold.rto_us(7'000, 2'000'000, 20'000), 7'000u) << "unprimed: still the floor";
+}
+
+TEST(AdaptiveRto, BackoffHoldsUntilAValidSample) {
+  // A 60 ms RTT over a 20 ms unprimed seed, one frame in flight at a time:
+  // the first frame times out and backs off. Karn's rule keeps that backoff
+  // through the ambiguous ack, so the next frame is acked before its RTO
+  // and primes the estimator. Resetting the backoff on any ack would time
+  // out every frame and never take a sample.
+  ThreadBackend be(ThreadBackend::Options{2, 1});
+  runtime::LatencyTransport wan(be.transport(), be.exec(),
+                                sim::LatencyModel::uniform(2, 30'000, 150), 1);
+  ReliableConfig cfg;  // adaptive RTO: the default
+  cfg.rto_us = 20'000;
+  Rig rig(be, wan, cfg);
+
+  std::uint64_t next = 0;  // touched only on na's worker
+  const auto pacer = be.exec().every(rig.na, 100'000, 1'000, [&] {
+    rig.rt.send(rig.na, rig.nb, numbered(next++));
+  });
+  be.run_for(1'050'000);
+  be.stop();
+
+  ASSERT_GE(rig.b.values.size(), 8u);
+  for (std::uint64_t i = 0; i < rig.b.values.size(); ++i) EXPECT_EQ(rig.b.values[i], i);
+  const auto s = rig.rt.stats();
+  EXPECT_GE(s.rtt_samples, 5u) << "the channel must get primed";
+  EXPECT_LE(s.retransmits, 4u) << "only the frames before the first sample may time out";
 }
 
 TEST(PartitionSpec, ParsesPairIsolationAndLists) {
@@ -518,11 +558,11 @@ workload::ExperimentConfig reliable_cluster(std::uint64_t seed) {
   cfg.codec = sim::CodecMode::kBytes;
   cfg.check_consistency = true;
   cfg.reliable = true;
-  // The RTO must scale with the sanitizer slowdown like the windows do:
-  // once queueing delay exceeds the RTO, every message times out
-  // spuriously and the duplicate load feeds back into more delay —
-  // congestion collapse (an adaptive RTO is a ROADMAP item).
+  // A fixed RTO, scaled with the sanitizer slowdown like the windows: once
+  // queueing delay exceeds the RTO, every message times out spuriously and
+  // the duplicate load feeds back into more delay (congestion collapse).
   cfg.reliable_cfg.rto_us = 20'000 * kTimeScale;
+  cfg.reliable_cfg.adaptive_rto = false;
   cfg.seed = seed;
   return cfg;
 }
@@ -563,11 +603,14 @@ TEST(ReliableEndToEnd, RequestClassDropsConverge) {
 /// End-to-end adaptive RTO: over a jittered WAN latency model with NO
 /// loss, a mistuned estimator (RTO under the real RTT) would retransmit
 /// everything; the converged one must stay (nearly) silent while still
-/// taking steady RTT samples.
+/// taking steady RTT samples. Rare 1 ms chaos stalls lose nothing but put a
+/// fault decorator below the layer, so every channel is framed.
 TEST(ReliableEndToEnd, AdaptiveRtoNoRetransmitStormAtSteadyState) {
   auto cfg = reliable_cluster(77);
   cfg.latency_model = runtime::LatencyModelKind::kJitter;
   cfg.uniform_inter_dc_us = 10'000;
+  cfg.chaos.reorder_p = 0.001;
+  cfg.chaos.reorder_stall_us = 1'000;
   cfg.reliable_cfg.adaptive_rto = true;
   cfg.reliable_cfg.rto_us = 200'000 * kTimeScale;  // pre-estimate: generous
   cfg.reliable_cfg.min_rto_us = 25'000 * kTimeScale;
@@ -587,6 +630,72 @@ TEST(ReliableEndToEnd, AdaptiveRtoNoRetransmitStormAtSteadyState) {
   EXPECT_LE(res.reliable.retransmits, storm_bound)
       << "adaptive RTO must not manufacture retransmissions on a lossless link";
   for (const auto& v : res.violations) ADD_FAILURE() << v;
+}
+
+/// The thread runtime over the 3-DC AWS matrix (IAD, PDX, DUB: RTTs of
+/// 70, 76 and 136 ms) with reliable delivery and the default ReliableConfig.
+workload::ExperimentConfig aws_matrix_cluster(std::uint64_t seed) {
+  auto cfg = reliable_cluster(seed);
+  cfg.aws_latency = true;
+  cfg.latency_model = runtime::LatencyModelKind::kMatrix;
+  cfg.reliable_cfg = ReliableConfig{};
+  return cfg;
+}
+
+/// The framing rule: with no fault decorator below, every channel of a
+/// thread deployment is an in-process mailbox, lossless and FIFO, so the
+/// reliable layer frames nothing (no sequence numbers, no acks). The same
+/// run with a lossy decorator below frames every channel again and
+/// recovers the drops.
+TEST(ReliableFraming, FramesOnlyChannelsThatCanLoseAFrame) {
+  for (const double drop_p : {0.0, 0.05}) {
+    auto cfg = aws_matrix_cluster(81);
+    cfg.chaos.drop_p = drop_p;
+    cfg.chaos.drop_class = runtime::ChaosDropClass::kAll;
+
+    const auto res = workload::run_experiment(cfg);
+    SCOPED_TRACE(drop_p > 0 ? "chaos drops below" : "no fault decorator");
+    EXPECT_GT(res.committed, 0u);
+    if (drop_p > 0) {
+      EXPECT_GT(res.chaos.dropped, 0u) << "chaos must actually engage";
+      EXPECT_GT(res.reliable.frames_sent, 0u);
+      EXPECT_GT(res.reliable.retransmits, 0u) << "recovery must actually engage";
+    } else {
+      EXPECT_EQ(res.reliable.frames_sent, 0u);
+      EXPECT_EQ(res.reliable.acks_sent, 0u);
+    }
+    for (const auto& v : res.violations) ADD_FAILURE() << v;
+  }
+}
+
+/// The RTO default: on the AWS matrix the PDX-DUB RTT (136 ms) exceeds the
+/// 100 ms fixed RTO. The default (adaptive) RTO must keep retransmissions
+/// under 1% of frames on these lossless links, while pinning the fixed RTO
+/// must retransmit more than 5% (so the bound can fail). Rare 1 ms chaos
+/// stalls lose nothing but frame every channel. The adaptive run still
+/// pays one spurious round per PDX-DUB channel before its first sample
+/// (the 100 ms seed is below the RTT): about 450 frames, so the run is long
+/// enough that this start-up cost stays well under the bound.
+TEST(ReliableEndToEnd, DefaultRtoDoesNotRetransmitBelowTheMeasuredRtt) {
+  for (const bool pin_fixed : {false, true}) {
+    auto cfg = aws_matrix_cluster(83);
+    cfg.warmup_us = 200'000 * kTimeScale;
+    cfg.measure_us = 2'000'000 * kTimeScale;
+    cfg.chaos.reorder_p = 0.001;
+    cfg.chaos.reorder_stall_us = 1'000;
+    if (pin_fixed) cfg.reliable_cfg.adaptive_rto = false;
+
+    const auto res = workload::run_experiment(cfg);
+    SCOPED_TRACE(pin_fixed ? "fixed 100 ms RTO" : "default RTO");
+    EXPECT_GT(res.committed, 0u);
+    ASSERT_GT(res.reliable.frames_sent, 0u) << "chaos below must frame every channel";
+    if (pin_fixed) {
+      EXPECT_GT(res.reliable.retransmits * 20, res.reliable.frames_sent);
+    } else {
+      EXPECT_LE(res.reliable.retransmits * 100, res.reliable.frames_sent);
+    }
+    for (const auto& v : res.violations) ADD_FAILURE() << v;
+  }
 }
 
 /// A scheduled inter-DC blackout heals on its deadline and the run

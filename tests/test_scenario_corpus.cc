@@ -6,8 +6,9 @@
 //
 // Socket scenarios re-exec this binary as children, so it defines its own
 // main() with the maybe_run_socket_child() hook (same pattern as
-// test_recovery.cc). Port registry: this suite owns 7860+ (10 per socket
-// scenario), disjoint from every other suite so `ctest -j` never collides.
+// test_recovery.cc). Each socket scenario listens on loopback ports the
+// kernel hands out (port 0 binds), so the suite holds no port registry row
+// and cannot collide with another suite under `ctest -j`.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/endpoint.h"
 #include "scenario/scenario.h"
 #include "workload/experiment.h"
 #include "workload/socket_runner.h"
@@ -41,8 +43,6 @@ constexpr std::uint64_t kTimeScale = 1;
 constexpr std::uint64_t kTimeScale = 1;
 #endif
 
-constexpr std::uint16_t kCorpusBasePort = 7860;
-
 std::vector<fs::path> corpus_files() {
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(PARIS_CORPUS_DIR)) {
@@ -58,7 +58,6 @@ TEST(ScenarioCorpus, EveryPinnedScheduleReplaysClean) {
   // regression coverage, so the suite fails rather than passing vacuously.
   ASSERT_GE(files.size(), 5u) << "corpus at " << PARIS_CORPUS_DIR << " lost files";
 
-  int socket_idx = 0;
   for (const fs::path& path : files) {
     SCOPED_TRACE(path.filename().string());
     std::ifstream in(path);
@@ -75,8 +74,9 @@ TEST(ScenarioCorpus, EveryPinnedScheduleReplaysClean) {
     workload::ExperimentConfig cfg;
     scenario::apply_scenario(s, cfg);
     if (s.runtime == runtime::Kind::kSockets) {
-      cfg.socket.base_port =
-          static_cast<std::uint16_t>(kCorpusBasePort + 10 * socket_idx++);
+      cfg.socket.hosts =
+          runtime::free_loopback_host_list(cfg.socket.resolve_processes(cfg.num_dcs));
+      ASSERT_FALSE(cfg.socket.hosts.empty()) << "no free loopback ports";
     }
     const workload::ExperimentResult res = workload::run_experiment(cfg);
 

@@ -103,6 +103,7 @@ TEST(ScenarioE2e, ChannelFuzzingExercisesEveryRejectionPath) {
   cfg.check_consistency = true;
   cfg.reliable = true;
   cfg.reliable_cfg.rto_us = 10'000 * kTimeScale;
+  cfg.reliable_cfg.adaptive_rto = false;
   cfg.reliable_cfg.max_rto_us = 40'000 * kTimeScale;
   cfg.fuzz.corrupt_p = 0.03;
   cfg.fuzz.replay_p = 0.03;

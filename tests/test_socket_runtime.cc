@@ -280,6 +280,7 @@ TEST(SocketBackendPair, ReliableRetransmitsAcrossReconnectExactlyOnce) {
   // transport-level restart.
   ReliableConfig cfg;
   cfg.rto_us = 40'000;
+  cfg.adaptive_rto = false;
   cfg.max_rto_us = 300'000;
   ReliableHalf a(0, 7621, cfg), b(1, 7621, cfg);
 

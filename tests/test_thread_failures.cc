@@ -58,6 +58,7 @@ DeploymentConfig threads_config(System sys, std::uint32_t dcs, std::uint32_t par
   // RTO scales with the sanitizer slowdown so inflated queueing delay does
   // not read as loss (spurious-retransmission collapse).
   cfg.reliable_cfg.rto_us = 10'000 * kTimeScale;
+  cfg.reliable_cfg.adaptive_rto = false;
   cfg.reliable_cfg.max_rto_us = 40'000 * kTimeScale;
   cfg.seed = seed;
   return cfg;
@@ -286,6 +287,7 @@ TEST(ThreadFailures, ConsistencyHoldsAcrossPartitionHealCycles) {
     cfg.check_consistency = true;
     cfg.reliable = true;
     cfg.reliable_cfg.rto_us = 10'000 * kTimeScale;
+    cfg.reliable_cfg.adaptive_rto = false;
     cfg.reliable_cfg.max_rto_us = 40'000 * kTimeScale;
     cfg.partitions.windows.push_back(
         PartitionWindow{0, 1, false, 150'000 * kTimeScale, 350'000 * kTimeScale});

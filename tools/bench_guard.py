@@ -48,6 +48,11 @@ BENCH_realtime_socket.json) are guarded too:
   * baseline rows marked "optional": true (e.g. sockets_uring, which only
     exists on kernels with io_uring) may be missing from the current run —
     skipped with a notice instead of failing.
+  * a comparison that compares nothing fails: a baseline with zero rows
+    (e.g. a "points" document such as BENCH_realtime.json, which this
+    guard cannot read) exits 2, and a run in which no baseline row was
+    compared (every row optional and absent) exits 1. A guard that checks
+    nothing must never print OK.
 
 Self-check mode: `bench_guard.py --json-schema FILE...` validates committed
 bench documents instead of comparing two runs — every numeric field must be
@@ -146,8 +151,13 @@ def main():
         ap.error("compare mode takes exactly BASELINE and CURRENT")
 
     base = load_rows(args.files[0])
+    if not base:
+        print(f"bench_guard: {args.files[0]} has no comparable rows (expected a "
+              "\"results\", \"after\" or \"rows\" array)", file=sys.stderr)
+        return 2
     cur = load_rows(args.files[1])
     failures = []
+    compared = 0
 
     for name, b in sorted(base.items()):
         c = cur.get(name)
@@ -157,6 +167,7 @@ def main():
                 continue
             failures.append(f"{name}: missing from current run")
             continue
+        compared += 1
         tol = args.tolerance
         if b.get("ns_per_op", 1e9) < 5.0:  # layout-sensitive micro-row
             tol = min(2 * tol, 0.60)
@@ -252,12 +263,14 @@ def main():
     for name in sorted(set(cur) - set(base)):
         print(f"  {name:<34} (new row, no baseline)")
 
+    if compared == 0:
+        failures.append("no baseline row was compared (the guard checked nothing)")
     if failures:
         print("\nbench_guard: FAIL", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"\nbench_guard: OK ({len(base)} rows within {args.tolerance:.0%} tolerance)")
+    print(f"\nbench_guard: OK ({compared} rows within {args.tolerance:.0%} tolerance)")
     return 0
 
 

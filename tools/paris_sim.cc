@@ -93,15 +93,18 @@ namespace {
       "                          delay (matrix), plus jitter (default none;\n"
       "                          the sim models latency itself)\n"
       "  --reliable              threads/sockets: at-least-once delivery —\n"
-      "                          every protocol message is sequenced,\n"
-      "                          retransmitted on timeout and deduplicated at\n"
-      "                          the receiver, so chaos drops/partitions of\n"
-      "                          ANY class still converge (exactly-once at\n"
-      "                          the actor)\n"
+      "                          messages are sequenced, retransmitted on\n"
+      "                          timeout and deduplicated at the receiver,\n"
+      "                          so chaos drops/partitions of ANY class\n"
+      "                          still converge (exactly-once at the actor).\n"
+      "                          Only channels that can lose a frame are\n"
+      "                          framed: all of them under a fault\n"
+      "                          decorator, else those between processes\n"
       "  --reliable-rto-ms=R|auto\n"
-      "                          retransmission timeout in ms (default 100),\n"
-      "                          or 'auto': per-channel Jacobson/Karels RTT\n"
-      "                          estimation (srtt + 4*rttvar, Karn's rule)\n"
+      "                          'auto' (default): per-channel Jacobson/\n"
+      "                          Karels RTT estimation (srtt + 4*rttvar,\n"
+      "                          Karn's rule); R pins a fixed retransmission\n"
+      "                          timeout of R ms\n"
       "  --reliable-sack=on|off  selective-repeat acks: receivers report\n"
       "                          buffered [lo,hi] seq ranges and senders\n"
       "                          retransmit only the gaps instead of the\n"
@@ -358,6 +361,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.reliable_cfg.rto_us = static_cast<std::uint64_t>(rto_ms) * 1000;
+      cfg.reliable_cfg.adaptive_rto = false;
       cfg.reliable = true;
     } else if (parse_flag(argv[i], "--reliable-sack", &v) && v) {
       if (std::string(v) == "on") {
@@ -867,9 +871,10 @@ int main(int argc, char** argv) {
                 stats::with_commas(res.fuzz.captured).c_str());
   }
   if (cfg.reliable) {
-    std::printf("reliable layer  %10s frames, %s retransmits, %s dup-frames dropped, "
-                "%s coalesced, %s sack-skips\n",
+    std::printf("reliable layer  %10s frames, %s acks, %s retransmits, %s dup-frames "
+                "dropped, %s coalesced, %s sack-skips\n",
                 stats::with_commas(res.reliable.frames_sent).c_str(),
+                stats::with_commas(res.reliable.acks_sent).c_str(),
                 stats::with_commas(res.reliable.retransmits).c_str(),
                 stats::with_commas(res.reliable.dup_frames).c_str(),
                 stats::with_commas(res.reliable.coalesced).c_str(),
