@@ -108,8 +108,10 @@ int main() {
     }
     for (const double p : {0.01, 0.10}) {
       auto cfg = chaos_config(sys);
-      cfg.chaos.drop_p = p;
-      cfg.chaos.drop_class = runtime::ChaosDropClass::kAll;
+      runtime::LinkEpisode drop = runtime::LinkEpisode::chaos();
+      drop.loss_good = p;
+      drop.drop_class = runtime::DropClass::kAll;
+      cfg.link_episodes.push_back(drop);
       rows.push_back(Row{"drop " + std::to_string(static_cast<int>(p * 100)) + "%",
                          proto::system_name(sys), p, 0, workload::run_experiment(cfg)});
       print_row(rows.back());
@@ -122,8 +124,8 @@ int main() {
       // tail silently under-reports.
       auto cfg = chaos_config(sys);
       const std::uint64_t start_us = 1'000'000;
-      cfg.partitions.windows.push_back(runtime::PartitionWindow{
-          0, 1, false, start_us, start_us + partition_ms * 1'000});
+      cfg.link_episodes.push_back(runtime::LinkEpisode::partition(
+          0, 1, false, start_us, start_us + partition_ms * 1'000));
       cfg.measure_us = start_us + partition_ms * 1'000 + 6'000'000;
       rows.push_back(Row{"partition " + std::to_string(partition_ms / 1000) + "s",
                          proto::system_name(sys), 0, partition_ms,
@@ -167,7 +169,7 @@ int main() {
         "\"drop_p\": %.2f, "
         "\"partition_ms\": %llu, \"goodput_tx_s\": %.1f, \"lat_p50_ms\": %.3f, "
         "\"lat_p99_ms\": %.3f, \"vis_p50_ms\": %.3f, \"vis_p99_ms\": %.3f, "
-        "\"committed\": %llu, \"chaos_dropped\": %llu, \"partition_dropped\": %llu, "
+        "\"committed\": %llu, \"link_dropped\": %llu, "
         "\"frames\": %llu, \"retransmits\": %llu, \"coalesced\": %llu}%s\n",
         r.system, r.scenario.c_str(), loop_mode(chaos_config(System::kParis)), r.drop_p,
         static_cast<unsigned long long>(r.partition_ms), r.result.throughput_tx_s,
@@ -175,8 +177,7 @@ int main() {
         r.result.visibility_hist.percentile(0.5) / 1000.0,
         r.result.visibility_hist.percentile(0.99) / 1000.0,
         static_cast<unsigned long long>(r.result.committed),
-        static_cast<unsigned long long>(r.result.chaos.dropped),
-        static_cast<unsigned long long>(r.result.partition.dropped),
+        static_cast<unsigned long long>(r.result.link.dropped),
         static_cast<unsigned long long>(r.result.reliable.frames_sent),
         static_cast<unsigned long long>(r.result.reliable.retransmits),
         static_cast<unsigned long long>(r.result.reliable.coalesced),

@@ -1,7 +1,7 @@
 // realtime_latency — latency-sensitive figures on the REAL thread runtime.
 //
-// The LatencyTransport decorator gives the thread backend the same AWS
-// per-DC-pair WAN model the simulator uses, which unlocks the paper's
+// The link model (runtime::LinkTransport) gives the thread backend the same
+// AWS per-DC-pair WAN model the simulator uses, which unlocks the paper's
 // latency results outside the simulator:
 //
 //  * fig4 shape — update-visibility latency, PaRiS vs BPR: PaRiS makes an

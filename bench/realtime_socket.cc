@@ -15,14 +15,6 @@
 //                         retransmission POLICY matters), with SACK on:
 //                         receivers advertise buffered [lo,hi] ranges and
 //                         senders retransmit only the gaps.
-//  * sockets_unbatched  — sockets_reliable with batching OFF (one frame per
-//                         write syscall, 4KB reads): the pre-§12 syscall
-//                         pattern, kept as the A/B control for the batched
-//                         pump. syscalls_per_frame is the separating metric.
-//  * sockets_uring      — sockets_reliable on the io_uring pump, emitted
-//                         only when the kernel has io_uring (the JSON row is
-//                         marked optional; the guard skips it with a notice
-//                         when absent).
 //  * sockets_gbn_loss   — the same loss with SACK off (go-back-N over the
 //                         in-flight burst): the retransmission waste the
 //                         60s-blackout bench measured, isolated. On bare
@@ -33,7 +25,7 @@
 //                         therefore the policy, load-bearing.
 //
 // The headline metric for the loss rows is retransmits_per_drop —
-// retransmissions per chaos-eaten frame. Go-back-N resends whole bursts per
+// retransmissions per frame the link dropped. Go-back-N resends whole bursts per
 // hole, SACK about one frame per hole, so the ratio separates by an order
 // of magnitude; tools/bench_guard.py guards the SACK row's value (and every
 // row's goodput) against this committed baseline.
@@ -85,14 +77,13 @@ struct Row {
   std::string name;
   ExperimentResult result;
   double retx_per_drop = 0;
-  bool optional = false;  ///< row may be absent on other machines (io_uring)
 };
 
 Row run_row(std::string name, const ExperimentConfig& cfg) {
   Row r{std::move(name), workload::run_experiment(cfg), 0};
-  if (r.result.chaos.dropped != 0) {
+  if (r.result.link.dropped != 0) {
     r.retx_per_drop = static_cast<double>(r.result.reliable.retransmits) /
-                      static_cast<double>(r.result.chaos.dropped);
+                      static_cast<double>(r.result.link.dropped);
   }
   std::printf("%-20s %8.2f ktx/s  lat p50 %7.2f ms  frames %9llu  retx %7llu"
               "  dropped %6llu  retx/drop %6.2f  sack-skips %llu"
@@ -101,7 +92,7 @@ Row run_row(std::string name, const ExperimentConfig& cfg) {
               r.result.latency_us.p50 / 1000.0,
               static_cast<unsigned long long>(r.result.reliable.frames_sent),
               static_cast<unsigned long long>(r.result.reliable.retransmits),
-              static_cast<unsigned long long>(r.result.chaos.dropped), r.retx_per_drop,
+              static_cast<unsigned long long>(r.result.link.dropped), r.retx_per_drop,
               static_cast<unsigned long long>(r.result.reliable.sacked_skips),
               r.result.socket.syscalls_per_frame(), r.result.socket.bytes_per_syscall());
   std::fflush(stdout);
@@ -128,24 +119,12 @@ int main(int argc, char** argv) {
     auto cfg = socket_config(/*sockets=*/true);
     rows.push_back(run_row("sockets_reliable", cfg));
   }
-  {
-    auto cfg = socket_config(/*sockets=*/true);
-    cfg.socket.batch_io = false;
-    rows.push_back(run_row("sockets_unbatched", cfg));
-  }
-  if (runtime::SocketBackend::probe_io_uring()) {
-    auto cfg = socket_config(/*sockets=*/true);
-    cfg.socket.pump = runtime::SocketPump::kUring;
-    rows.push_back(run_row("sockets_uring", cfg));
-    rows.back().optional = true;
-  } else {
-    std::printf("%-20s (skipped: io_uring unavailable on this kernel)\n",
-                "sockets_uring");
-  }
   for (const bool sack : {true, false}) {
     auto cfg = socket_config(/*sockets=*/true);
-    cfg.chaos.drop_p = 0.03;
-    cfg.chaos.drop_class = runtime::ChaosDropClass::kAll;
+    runtime::LinkEpisode drop = runtime::LinkEpisode::chaos();
+    drop.loss_good = 0.03;
+    drop.drop_class = runtime::DropClass::kAll;
+    cfg.link_episodes.push_back(drop);
     cfg.latency_model = runtime::LatencyModelKind::kJitter;  // 40 ms WAN
     cfg.reliable_cfg.rto_us = 150'000;  // > worst modeled RTT
     cfg.reliable_cfg.sack = sack;
@@ -188,19 +167,18 @@ int main(int argc, char** argv) {
         "\"dropped\": %llu, \"retransmits_per_drop\": %.3f, \"sack_skips\": %llu, "
         "\"socket_frames_out\": %llu, \"syscalls_per_frame\": %.3f, "
         "\"bytes_per_syscall\": %.1f, \"flushes\": %llu, "
-        "\"backpressure_stalls\": %llu%s}%s\n",
+        "\"backpressure_stalls\": %llu}%s\n",
         r.name.c_str(), loop_mode(socket_config(/*sockets=*/true)),
         r.result.throughput_tx_s, r.result.latency_us.p50 / 1000.0,
         static_cast<unsigned long long>(r.result.committed),
         static_cast<unsigned long long>(r.result.reliable.frames_sent),
         static_cast<unsigned long long>(r.result.reliable.retransmits),
-        static_cast<unsigned long long>(r.result.chaos.dropped), r.retx_per_drop,
+        static_cast<unsigned long long>(r.result.link.dropped), r.retx_per_drop,
         static_cast<unsigned long long>(r.result.reliable.sacked_skips),
         static_cast<unsigned long long>(r.result.socket.frames_out),
         r.result.socket.syscalls_per_frame(), r.result.socket.bytes_per_syscall(),
         static_cast<unsigned long long>(r.result.socket.flushes),
         static_cast<unsigned long long>(r.result.socket.backpressure_stalls),
-        r.optional ? ", \"optional\": true" : "",
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

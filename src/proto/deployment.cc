@@ -108,9 +108,7 @@ std::unique_ptr<runtime::Backend> build_backend(const DeploymentConfig& cfg,
     opt.connect_timeout_ms = cfg.socket.connect_timeout_ms;
     opt.mesh_token = cfg.socket.mesh_token;
     opt.epoch = cfg.socket.epoch;
-    opt.pump = cfg.socket.pump;
     opt.outbound_budget = cfg.socket.outbound_budget;
-    opt.batch_io = cfg.socket.batch_io;
     if (cfg.worker_threads != 0) {
       opt.workers = cfg.worker_threads;
     } else {
@@ -128,45 +126,20 @@ std::unique_ptr<runtime::Backend> build_backend(const DeploymentConfig& cfg,
   return std::make_unique<runtime::SimBackend>(cfg.seed, build_latency(cfg), cfg.codec);
 }
 
-std::unique_ptr<runtime::LatencyTransport> build_latency_tp(const DeploymentConfig& cfg,
-                                                            runtime::Backend& be) {
+std::unique_ptr<runtime::LinkTransport> build_link_tp(const DeploymentConfig& cfg,
+                                                      runtime::Backend& be) {
   // The sim network models latency itself; decorating it would double-count.
   if (cfg.runtime == runtime::Kind::kSim ||
-      cfg.latency_model == runtime::LatencyModelKind::kNone) {
+      (cfg.latency_model == runtime::LatencyModelKind::kNone && cfg.link_episodes.empty())) {
     return nullptr;
   }
-  auto model = build_latency(cfg);
-  if (cfg.latency_model == runtime::LatencyModelKind::kMatrix) model.set_jitter(0);
-  return std::make_unique<runtime::LatencyTransport>(be.transport(), be.exec(),
-                                                     std::move(model), cfg.seed);
-}
-
-std::unique_ptr<runtime::WanTransport> build_wan_tp(const DeploymentConfig& cfg,
-                                                    runtime::Backend& be,
-                                                    runtime::Transport* below) {
-  if (cfg.runtime == runtime::Kind::kSim || !cfg.wan.enabled()) return nullptr;
-  runtime::WanConfig wan = cfg.wan;
-  if (wan.seed == 0) wan.seed = cfg.seed;
-  return std::make_unique<runtime::WanTransport>(
-      below != nullptr ? *below : be.transport(), be.exec(), std::move(wan));
-}
-
-std::unique_ptr<runtime::PartitionTransport> build_partition_tp(const DeploymentConfig& cfg,
-                                                                runtime::Backend& be,
-                                                                runtime::Transport* below) {
-  if (cfg.runtime == runtime::Kind::kSim || !cfg.partitions.enabled()) return nullptr;
-  return std::make_unique<runtime::PartitionTransport>(
-      below != nullptr ? *below : be.transport(), be.exec(), cfg.partitions);
-}
-
-std::unique_ptr<runtime::ChaosTransport> build_chaos_tp(const DeploymentConfig& cfg,
-                                                        runtime::Backend& be,
-                                                        runtime::Transport* below) {
-  if (cfg.runtime == runtime::Kind::kSim || !cfg.chaos.enabled()) return nullptr;
-  runtime::ChaosConfig chaos = cfg.chaos;
-  if (chaos.seed == 0) chaos.seed = cfg.seed;
-  return std::make_unique<runtime::ChaosTransport>(
-      below != nullptr ? *below : be.transport(), be.exec(), chaos);
+  std::optional<sim::LatencyModel> delay;
+  if (cfg.latency_model != runtime::LatencyModelKind::kNone) {
+    delay = build_latency(cfg);
+    if (cfg.latency_model == runtime::LatencyModelKind::kMatrix) delay->set_jitter(0);
+  }
+  return std::make_unique<runtime::LinkTransport>(be.transport(), be.exec(), std::move(delay),
+                                                  cfg.link_episodes, cfg.seed);
 }
 
 std::unique_ptr<runtime::FuzzTransport> build_fuzz_tp(const DeploymentConfig& cfg,
@@ -188,13 +161,12 @@ std::unique_ptr<runtime::ReliableTransport> build_reliable_tp(const DeploymentCo
   // retransmissions of the dead channel can never mingle with the
   // renumbered stream (threads/sim stay at epoch 0 throughout).
   if (auto* sb = dynamic_cast<runtime::SocketBackend*>(&be)) rc.self_epoch = sb->epoch();
-  // Framing rule (DESIGN §9): a fault decorator below may lose or repeat a
-  // frame on any channel, so then every channel is framed. Without one,
-  // only a channel to a node another process hosts can lose frames (a dead
-  // socket drops what it held); in-process mailboxes are lossless and FIFO,
-  // so those sends pass through unframed.
-  const bool faults_below = cfg.chaos.enabled() || cfg.partitions.enabled() ||
-                            cfg.wan.enabled() || cfg.fuzz.enabled();
+  // Framing rule (DESIGN §9): a link episode or the fuzzer below may lose,
+  // hold back or repeat a frame on any channel, so then every channel is
+  // framed. Without one, only a channel to a node another process hosts can
+  // lose frames (a dead socket drops what it held); in-process mailboxes are
+  // lossless and FIFO, so those sends pass through unframed.
+  const bool faults_below = !cfg.link_episodes.empty() || cfg.fuzz.enabled();
   runtime::ReliableTransport::FrameRule frame_to;
   if (!faults_below) frame_to = [&be](NodeId to) { return !be.local(to); };
   return std::make_unique<runtime::ReliableTransport>(
@@ -218,25 +190,13 @@ Deployment::Deployment(const DeploymentConfig& cfg, Tracer* tracer)
       dir_(topo_),
       membership_(build_membership(cfg, topo_)),
       backend_(build_backend(cfg, topo_)),
-      latency_tp_(build_latency_tp(cfg, *backend_)),
-      wan_tp_(build_wan_tp(cfg, *backend_, latency_tp_.get())),
-      partition_tp_(build_partition_tp(
-          cfg, *backend_, first_nonnull({wan_tp_.get(), latency_tp_.get()}))),
-      chaos_tp_(build_chaos_tp(
-          cfg, *backend_,
-          first_nonnull({partition_tp_.get(), wan_tp_.get(), latency_tp_.get()}))),
-      fuzz_tp_(build_fuzz_tp(
-          cfg, *backend_,
-          first_nonnull(
-              {chaos_tp_.get(), partition_tp_.get(), wan_tp_.get(), latency_tp_.get()}))),
-      reliable_tp_(build_reliable_tp(
-          cfg, *backend_,
-          first_nonnull({fuzz_tp_.get(), chaos_tp_.get(), partition_tp_.get(),
-                         wan_tp_.get(), latency_tp_.get()}))),
+      link_tp_(build_link_tp(cfg, *backend_)),
+      fuzz_tp_(build_fuzz_tp(cfg, *backend_, link_tp_.get())),
+      reliable_tp_(
+          build_reliable_tp(cfg, *backend_, first_nonnull({fuzz_tp_.get(), link_tp_.get()}))),
       rt_{backend_->exec(),
           outermost(*backend_,
-                    first_nonnull({reliable_tp_.get(), fuzz_tp_.get(), chaos_tp_.get(),
-                                   partition_tp_.get(), wan_tp_.get(), latency_tp_.get()})),
+                    first_nonnull({reliable_tp_.get(), fuzz_tp_.get(), link_tp_.get()})),
           topo_,
           dir_,
           cfg.cost,

@@ -21,10 +21,8 @@
 #include "proto/runtime.h"
 #include "runtime/backend.h"
 #include "runtime/fuzz_transport.h"
-#include "runtime/latency_transport.h"
-#include "runtime/partition_transport.h"
+#include "runtime/link_transport.h"
 #include "runtime/reliable_transport.h"
-#include "runtime/wan_transport.h"
 #include "runtime/socket_runtime.h"
 #include "sim/codec_mode.h"
 
@@ -73,26 +71,21 @@ struct DeploymentConfig {
   std::uint64_t uniform_inter_dc_us = 40'000;
   std::uint64_t uniform_intra_dc_us = 150;
   double jitter = 0.05;
-  /// Threads backend only: wrap the transport in a LatencyTransport drawing
-  /// from the same matrix/jitter settings above, so a threads run models
-  /// WAN delay like the simulator does. kNone = instant delivery.
+  /// Threads/sockets: the link model (DESIGN.md §8). The base
+  /// one-way delay comes from the matrix/jitter settings above (kNone =
+  /// instant delivery); link_episodes schedule loss, duplication, stalls,
+  /// bandwidth pipes and delay ramps on top. Partitions and the chaos
+  /// knobs are episodes too.
   runtime::LatencyModelKind latency_model = runtime::LatencyModelKind::kNone;
-  /// Threads backend only: fault-injection decorator (off by default).
-  runtime::ChaosConfig chaos;
+  std::vector<runtime::LinkEpisode> link_episodes;
   /// Threads/sockets: at-least-once reliable delivery. Wraps protocol
-  /// messages in sequenced frames with retransmission + dedup, so chaos
-  /// drops and partitions of ANY message class still converge (DESIGN.md
-  /// §9). Only channels that can lose a frame are framed: every channel
-  /// under a fault decorator, else only channels to another process. Off
-  /// by default: the undecorated path pays nothing.
+  /// messages in sequenced frames with retransmission + dedup, so link
+  /// loss of ANY message class still converges (DESIGN.md §9). Only
+  /// channels that can lose a frame are framed: every channel when a link
+  /// episode or the fuzzer sits below, else only channels to another
+  /// process. Off by default: the undecorated path pays nothing.
   bool reliable = false;
   runtime::ReliableConfig reliable_cfg;
-  /// Threads backend only: scheduled inter-DC blackouts (messages crossing
-  /// an active window are dropped; heals at the window deadline).
-  runtime::PartitionSpec partitions;
-  /// Threads/sockets: WAN-realism link episodes (asymmetric delay ramps,
-  /// bandwidth caps, Gilbert–Elliott burst loss). Off when empty.
-  runtime::WanConfig wan;
   /// Threads/sockets: live channel fuzzing (mutate-then-drop + replay),
   /// below the reliable layer. Off by default.
   runtime::FuzzConfig fuzz;
@@ -134,19 +127,13 @@ class Deployment {
   runtime::Backend& backend() { return *backend_; }
   runtime::Executor& exec() { return backend_->exec(); }
   /// The transport the protocol layer sends through: the backend's own, or
-  /// the outermost decorator when a latency model / chaos is configured.
+  /// the outermost decorator when a link model / reliable layer is on.
   runtime::Transport& transport() { return rt_.net; }
-  /// Non-null when the deployment injects latency (threads backend with
-  /// latency_model != kNone).
-  runtime::LatencyTransport* latency_transport() { return latency_tp_.get(); }
-  /// Non-null when fault injection is on (chaos.enabled()).
-  runtime::ChaosTransport* chaos_transport() { return chaos_tp_.get(); }
+  /// Non-null when the deployment models links (threads/sockets backend
+  /// with a latency model or link episodes).
+  runtime::LinkTransport* link_transport() { return link_tp_.get(); }
   /// Non-null when at-least-once delivery is on (cfg.reliable, threads).
   runtime::ReliableTransport* reliable_transport() { return reliable_tp_.get(); }
-  /// Non-null when scheduled blackouts are configured (cfg.partitions).
-  runtime::PartitionTransport* partition_transport() { return partition_tp_.get(); }
-  /// Non-null when WAN link episodes are configured (cfg.wan.enabled()).
-  runtime::WanTransport* wan_transport() { return wan_tp_.get(); }
   /// Non-null when channel fuzzing is on (cfg.fuzz.enabled()).
   runtime::FuzzTransport* fuzz_transport() { return fuzz_tp_.get(); }
   /// Non-null when this deployment runs the socket backend (child process).
@@ -211,16 +198,12 @@ class Deployment {
   std::unique_ptr<cluster::Membership> membership_;
   std::unique_ptr<runtime::Backend> backend_;
   // Transport decorator chain (threads/sockets backends only); the protocol
-  // sends through reliable -> fuzz -> chaos -> partition -> wan -> latency
-  // -> backend (each layer optional). Fuzz sits just below reliable so it
-  // sees — and may corrupt/replay — the sequenced frames the reliable layer
-  // must recover from; wan shapes links next to the latency model it
-  // perturbs. Declared innermost-first and before rt_, which binds a
-  // reference to the outermost transport.
-  std::unique_ptr<runtime::LatencyTransport> latency_tp_;
-  std::unique_ptr<runtime::WanTransport> wan_tp_;
-  std::unique_ptr<runtime::PartitionTransport> partition_tp_;
-  std::unique_ptr<runtime::ChaosTransport> chaos_tp_;
+  // sends through reliable -> fuzz -> link -> backend (each layer
+  // optional). Fuzz sits just below reliable so it sees — and may
+  // corrupt/replay — the sequenced frames the reliable layer must recover
+  // from. Declared innermost-first and before rt_, which binds a reference
+  // to the outermost transport.
+  std::unique_ptr<runtime::LinkTransport> link_tp_;
   std::unique_ptr<runtime::FuzzTransport> fuzz_tp_;
   std::unique_ptr<runtime::ReliableTransport> reliable_tp_;
   Runtime rt_;

@@ -9,7 +9,7 @@ namespace {
 /// on this is every message (frames + acks: retransmission covers loss,
 /// sequence dedup covers replay). Without it only the idempotent replication
 /// layer is touched — corrupting anything else would wedge transactions
-/// instead of testing robustness (same contract as ChaosDropClass).
+/// instead of testing robustness (same contract as DropClass).
 bool fuzz_eligible(const wire::Message& m) {
   const wire::MsgType t = m.type();
   return t == wire::MsgType::kReliableFrame || t == wire::MsgType::kReliableAck ||

@@ -5,7 +5,7 @@
 // truncation of one encoded message, offline. This decorator generalizes
 // that mutator to a running cluster: it sits UNDER the reliable layer
 //
-//   protocol -> Reliable -> [Fuzz] -> Chaos -> ... -> backend
+//   protocol -> Reliable -> [Fuzz] -> Link -> backend
 //
 // so the traffic it sees is exactly what crosses a real wire (sequenced
 // ReliableFrames and acks when --reliable is on), and it injects two fault
@@ -38,7 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/latency_transport.h"
+#include "runtime/link_transport.h"
 
 namespace paris::runtime {
 

@@ -2,12 +2,12 @@
 // ReliableTransport: at-least-once delivery with exactly-once handoff for
 // the thread runtime (DESIGN.md §9).
 //
-// The backend's channels are FIFO but — once ChaosTransport or
-// PartitionTransport sit below — no longer lossless, which the paper's TCP
+// The backend's channels are FIFO but — once a lossy LinkTransport episode
+// or the fuzzer sits below — no longer lossless, which the paper's TCP
 // assumption requires. This decorator restores the assumption on top of a
 // lossy stack, the way TCP restores it on top of IP:
 //
-//   protocol -> [ReliableTransport] -> [Chaos] -> [Partition] -> [Latency] -> backend
+//   protocol -> [ReliableTransport] -> [Fuzz] -> [Link] -> backend
 //
 //  * Every protocol message on a framed channel (see the framing rule
 //    below) is wrapped in a wire::ReliableFrame carrying a
@@ -46,8 +46,8 @@
 // caller used, and the receiving endpoint passes unframed messages straight
 // through: an in-process mailbox is already lossless and FIFO, so such a
 // channel needs no seq, no ack, no window entry and no second encode.
-// Deployment frames every channel when a fault decorator (chaos,
-// partition, WAN, fuzz) sits below, and otherwise only the channels to
+// Deployment frames every channel when a link episode or the fuzzer sits
+// below, and otherwise only the channels to
 // nodes another process hosts (a dead socket drops what it held).
 //
 // Acks (wire::ReliableAck) are sent through the inner transport UNframed:
@@ -56,7 +56,7 @@
 //
 // Determinism: the reliable layer adds no randomness of its own. Its
 // retransmissions are driven by real time, so (like the thread runtime
-// itself) their schedule is not reproducible — but any chaos drops below
+// itself) their schedule is not reproducible — but any link drops below
 // stay seed-deterministic per channel, and the layer's guarantee (exactly-
 // once, in order, per channel) is schedule-independent, which is what the
 // exactness/causal checkers verify.
@@ -72,7 +72,7 @@
 
 #include "runtime/actor.h"
 #include "runtime/executor.h"
-#include "runtime/latency_transport.h"
+#include "runtime/link_transport.h"
 #include "runtime/transport.h"
 
 namespace paris::runtime {

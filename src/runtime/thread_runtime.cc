@@ -118,7 +118,7 @@ void ThreadBackend::enqueue_message(NodeId from, NodeId to, const wire::Message&
       park_remote(sw, std::move(env));
       return;
     }
-    // Timed remote send (latency decorators model the one-way WAN delay on
+    // Timed remote send (the link model applies the one-way WAN delay on
     // the SENDER's clock): park the encoded frame at the sender's own
     // worker until due, then deliver() forwards it to the router. The
     // per-channel clamp already ran in send_at, so wire order per channel
@@ -161,7 +161,7 @@ void ThreadBackend::send_at(NodeId from, NodeId to, wire::MessagePtr msg,
   PARIS_DCHECK(msg != nullptr);
   // Clamp the channel's deliver-at to be strictly increasing (the sender's
   // worker owns this channel's clamp state: sends run on the from-node's
-  // worker, or on the main thread before start). Jitter or chaos stalls can
+  // worker, or on the main thread before start). Jitter or link stalls can
   // therefore reorder deliveries ACROSS channels but never within one —
   // exactly the paper's TCP FIFO assumption.
   Worker& sw = *workers_[nodes_[from].worker];

@@ -16,13 +16,13 @@
 //    entry reschedules itself on fire. Cancellation flips an atomic flag
 //    (lazy deletion), so TimerHandle destruction is safe from any thread,
 //    including after stop().
-//  * Timed delivery (send_at, used by the latency/chaos transport
-//    decorators): an envelope carries a deliver-at deadline; the receiving
-//    worker parks future envelopes in a per-worker min-heap and releases
-//    them when due, recycling them through the same free list as immediate
-//    ones. The sender clamps each channel's deadline to be strictly
-//    increasing (TCP model), so timed delivery can never reorder a channel
-//    no matter what deadlines a decorator asks for.
+//  * Timed delivery (send_at, used by the link transport): an envelope
+//    carries a deliver-at deadline; the receiving worker parks future
+//    envelopes in a per-worker min-heap and releases them when due,
+//    recycling them through the same free list as immediate ones. The
+//    sender clamps each channel's deadline to be strictly increasing (TCP
+//    model), so timed delivery can never reorder a channel no matter what
+//    deadlines a decorator asks for.
 //
 // Unlike the sim backend, runs are NOT deterministic — correctness is
 // validated by the exactness checker, which is order-independent.

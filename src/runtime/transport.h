@@ -37,7 +37,7 @@ class Transport {
   }
 
   /// True when a<->b were registered as colocated (a client and its
-  /// coordinator): latency decorators give such pairs loopback delay, like
+  /// coordinator): the link model gives such pairs loopback delay, like
   /// the simulated network does.
   virtual bool colocated(NodeId a, NodeId b) const {
     (void)a;

@@ -77,11 +77,13 @@ Scenario generate_scenario(std::uint64_t seed, const ScenarioOptions& opts) {
   for (std::uint64_t i = 0; i < partitions; ++i) {
     ScenarioEvent e;
     e.kind = ScenarioEvent::Kind::kPartition;
-    draw_dc_pair(rng, s.num_dcs, e.partition.a, e.partition.b);
-    if (e.partition.a > e.partition.b) std::swap(e.partition.a, e.partition.b);
-    e.partition.isolate_all = rng.chance(0.2);
-    e.partition.start_us = rng.range(lo, hi - ms(150) * ts);
-    e.partition.end_us = e.partition.start_us + ms(rng.range(80, 150)) * ts;
+    DcId a = 0, b = 0;
+    draw_dc_pair(rng, s.num_dcs, a, b);
+    if (a > b) std::swap(a, b);
+    const bool isolate = rng.chance(0.2);
+    const std::uint64_t start = rng.range(lo, hi - ms(150) * ts);
+    e.link = runtime::LinkEpisode::partition(a, b, isolate, start,
+                                             start + ms(rng.range(80, 150)) * ts);
     s.events.push_back(e);
   }
 
@@ -89,25 +91,26 @@ Scenario generate_scenario(std::uint64_t seed, const ScenarioOptions& opts) {
   for (std::uint64_t i = 0; i < wans; ++i) {
     ScenarioEvent e;
     e.kind = ScenarioEvent::Kind::kWan;
-    draw_dc_pair(rng, s.num_dcs, e.wan.a, e.wan.b);
-    e.wan.symmetric = rng.chance(0.4);
-    e.wan.start_us = rng.range(lo, hi - ms(200) * ts);
-    e.wan.end_us = e.wan.start_us + ms(rng.range(150, 300)) * ts;
+    e.link.links = runtime::LinkEpisode::Links::kPair;
+    draw_dc_pair(rng, s.num_dcs, e.link.a, e.link.b);
+    e.link.symmetric = rng.chance(0.4);
+    e.link.start_us = rng.range(lo, hi - ms(200) * ts);
+    e.link.end_us = e.link.start_us + ms(rng.range(150, 300)) * ts;
     // Mid-run degradation: delay ramps from near the healthy baseline up to
     // a visibly degraded one-way time (asymmetric unless symmetric drawn).
-    e.wan.extra_delay_start_us = ms(rng.range(0, 3));
-    e.wan.extra_delay_end_us = ms(rng.range(5, 20));
+    e.link.extra_delay_start_us = ms(rng.range(0, 3));
+    e.link.extra_delay_end_us = ms(rng.range(5, 20));
     // Bandwidth cap >= 4 bytes/us (4 MB/s): tight enough to queue bursts,
     // loose enough that the pipe drains within the episode.
-    e.wan.bandwidth_bytes_per_us =
+    e.link.bandwidth_bytes_per_us =
         rng.chance(0.5) ? static_cast<std::uint32_t>(rng.range(4, 16)) : 0;
     if (rng.chance(0.6)) {  // Gilbert–Elliott burst loss
-      e.wan.p_good_bad = 0.05 + rng.next_double() * 0.25;
-      e.wan.p_bad_good = 0.3 + rng.next_double() * 0.5;
-      e.wan.loss_good = rng.next_double() * 0.02;
-      e.wan.loss_bad = 0.2 + rng.next_double() * 0.5;
+      e.link.p_good_bad = 0.05 + rng.next_double() * 0.25;
+      e.link.p_bad_good = 0.3 + rng.next_double() * 0.5;
+      e.link.loss_good = rng.next_double() * 0.02;
+      e.link.loss_bad = 0.2 + rng.next_double() * 0.5;
     }
-    if (rng.chance(0.3)) e.wan.duplicate_p = rng.next_double() * 0.2;
+    if (rng.chance(0.3)) e.link.duplicate_p = rng.next_double() * 0.2;
     s.events.push_back(e);
   }
 
@@ -204,20 +207,18 @@ void apply_scenario(const Scenario& s, workload::ExperimentConfig& cfg) {
   if (s.runtime == runtime::Kind::kSockets) {
     cfg.socket.processes = s.socket_processes;
   }
+  // Chaos events fold into one whole-run episode (the max of each knob).
+  runtime::LinkEpisode chaos;
   for (const auto& e : s.events) {
     switch (e.kind) {
       case ScenarioEvent::Kind::kPartition:
-        cfg.partitions.windows.push_back(e.partition);
-        break;
       case ScenarioEvent::Kind::kWan:
-        cfg.wan.episodes.push_back(e.wan);
+        cfg.link_episodes.push_back(e.link);
         break;
       case ScenarioEvent::Kind::kChaos:
-        cfg.chaos.reorder_p = std::max(cfg.chaos.reorder_p, e.chaos_reorder_p);
-        cfg.chaos.reorder_stall_us = s.rto_us;
-        cfg.chaos.drop_p = std::max(cfg.chaos.drop_p, e.chaos_drop_p);
-        cfg.chaos.duplicate_p = std::max(cfg.chaos.duplicate_p, e.chaos_duplicate_p);
-        cfg.chaos.drop_class = runtime::ChaosDropClass::kAll;  // reliable is on
+        chaos.stall_p = std::max(chaos.stall_p, e.chaos_reorder_p);
+        chaos.loss_good = std::max(chaos.loss_good, e.chaos_drop_p);
+        chaos.duplicate_p = std::max(chaos.duplicate_p, e.chaos_duplicate_p);
         break;
       case ScenarioEvent::Kind::kFuzz:
         cfg.fuzz.corrupt_p = std::max(cfg.fuzz.corrupt_p, e.fuzz_corrupt_p);
@@ -250,6 +251,20 @@ void apply_scenario(const Scenario& s, workload::ExperimentConfig& cfg) {
       }
     }
   }
+  if (chaos.inert()) return;
+  // Merged into the every-channel episode --chaos-* may already have added,
+  // so the two never compound.
+  auto it = std::find_if(cfg.link_episodes.begin(), cfg.link_episodes.end(),
+                         [](const runtime::LinkEpisode& e) {
+                           return e.links == runtime::LinkEpisode::Links::kEvery;
+                         });
+  runtime::LinkEpisode& c =
+      it != cfg.link_episodes.end() ? *it : cfg.link_episodes.emplace_back();
+  c.stall_p = std::max(c.stall_p, chaos.stall_p);
+  c.stall_us = s.rto_us;
+  c.loss_good = std::max(c.loss_good, chaos.loss_good);
+  c.duplicate_p = std::max(c.duplicate_p, chaos.duplicate_p);
+  c.drop_class = runtime::DropClass::kAll;  // reliable is on
 }
 
 void scale_time(Scenario& s, std::uint64_t k) {
@@ -261,14 +276,11 @@ void scale_time(Scenario& s, std::uint64_t k) {
   for (auto& e : s.events) {
     switch (e.kind) {
       case ScenarioEvent::Kind::kPartition:
-        e.partition.start_us *= k;
-        e.partition.end_us *= k;
-        break;
       case ScenarioEvent::Kind::kWan:
         // Window scales; delay magnitudes and bandwidth stay — they model
         // the link, not the (slowed) execution.
-        e.wan.start_us *= k;
-        e.wan.end_us *= k;
+        e.link.start_us *= k;
+        e.link.end_us *= k;
         break;
       case ScenarioEvent::Kind::kKill:
         e.kill_after_ms *= k;
@@ -315,16 +327,16 @@ std::string encode_scenario(const Scenario& s) {
     o << "event " << scenario_event_kind_name(e.kind);
     switch (e.kind) {
       case ScenarioEvent::Kind::kPartition:
-        o << ' ' << e.partition.a << ' ' << e.partition.b << ' '
-          << (e.partition.isolate_all ? 1 : 0) << ' ' << e.partition.start_us << ' '
-          << e.partition.end_us;
+        o << ' ' << e.link.a << ' ' << e.link.b << ' '
+          << (e.link.links == runtime::LinkEpisode::Links::kIsolate ? 1 : 0) << ' '
+          << e.link.start_us << ' ' << e.link.end_us;
         break;
       case ScenarioEvent::Kind::kWan:
-        o << ' ' << e.wan.a << ' ' << e.wan.b << ' ' << (e.wan.symmetric ? 1 : 0) << ' '
-          << e.wan.start_us << ' ' << e.wan.end_us << ' ' << e.wan.extra_delay_start_us
-          << ' ' << e.wan.extra_delay_end_us << ' ' << e.wan.bandwidth_bytes_per_us;
-        for (const double v : {e.wan.p_good_bad, e.wan.p_bad_good, e.wan.loss_good,
-                               e.wan.loss_bad, e.wan.duplicate_p}) {
+        o << ' ' << e.link.a << ' ' << e.link.b << ' ' << (e.link.symmetric ? 1 : 0) << ' '
+          << e.link.start_us << ' ' << e.link.end_us << ' ' << e.link.extra_delay_start_us
+          << ' ' << e.link.extra_delay_end_us << ' ' << e.link.bandwidth_bytes_per_us;
+        for (const double v : {e.link.p_good_bad, e.link.p_bad_good, e.link.loss_good,
+                               e.link.loss_bad, e.link.duplicate_p}) {
           o << ' ';
           put_f(o, v);
         }
@@ -374,22 +386,22 @@ bool decode_scenario(const std::string& text, Scenario& out) {
       ScenarioEvent e;
       if (kind == "partition") {
         e.kind = ScenarioEvent::Kind::kPartition;
+        DcId a = 0, b = 0;
         std::uint32_t iso = 0;
-        if (!(in >> e.partition.a >> e.partition.b >> iso >> e.partition.start_us >>
-              e.partition.end_us)) {
-          return false;
-        }
-        e.partition.isolate_all = iso != 0;
+        std::uint64_t start = 0, end = 0;
+        if (!(in >> a >> b >> iso >> start >> end)) return false;
+        e.link = runtime::LinkEpisode::partition(a, b, iso != 0, start, end);
       } else if (kind == "wan") {
         e.kind = ScenarioEvent::Kind::kWan;
+        e.link.links = runtime::LinkEpisode::Links::kPair;
         std::uint32_t sym = 0;
-        if (!(in >> e.wan.a >> e.wan.b >> sym >> e.wan.start_us >> e.wan.end_us >>
-              e.wan.extra_delay_start_us >> e.wan.extra_delay_end_us >>
-              e.wan.bandwidth_bytes_per_us >> e.wan.p_good_bad >> e.wan.p_bad_good >>
-              e.wan.loss_good >> e.wan.loss_bad >> e.wan.duplicate_p)) {
+        if (!(in >> e.link.a >> e.link.b >> sym >> e.link.start_us >> e.link.end_us >>
+              e.link.extra_delay_start_us >> e.link.extra_delay_end_us >>
+              e.link.bandwidth_bytes_per_us >> e.link.p_good_bad >> e.link.p_bad_good >>
+              e.link.loss_good >> e.link.loss_bad >> e.link.duplicate_p)) {
           return false;
         }
-        e.wan.symmetric = sym != 0;
+        e.link.symmetric = sym != 0;
       } else if (kind == "chaos") {
         e.kind = ScenarioEvent::Kind::kChaos;
         if (!(in >> e.chaos_reorder_p >> e.chaos_drop_p >> e.chaos_duplicate_p)) {

@@ -6,9 +6,9 @@
 // knobs, live channel fuzzing, clock skew, rank kills) — drawn once from a
 // seed by generate_scenario(). The same seed always yields the same
 // schedule, and every event executes through deterministic machinery (the
-// counter-hash transport decorators, the scheduled partition windows, the
-// launcher's timed kill), so a scenario reproduces per seed on both the
-// thread backend and the multi-process socket backend.
+// counter-hash link episodes and fuzzer, the launcher's timed kill), so a
+// scenario reproduces per seed on both the thread backend and the
+// multi-process socket backend.
 //
 // The flow the fuzz tooling builds on:
 //
@@ -44,9 +44,8 @@ struct ScenarioEvent {
   };
   Kind kind = Kind::kPartition;
 
-  runtime::PartitionWindow partition{};  // kPartition
-  runtime::WanLinkEpisode wan{};         // kWan
-  double chaos_reorder_p = 0;            // kChaos...
+  runtime::LinkEpisode link{};  // kPartition (a blackout) and kWan
+  double chaos_reorder_p = 0;   // kChaos...
   double chaos_drop_p = 0;
   double chaos_duplicate_p = 0;
   double fuzz_corrupt_p = 0;  // kFuzz...
@@ -118,7 +117,7 @@ Scenario generate_scenario(std::uint64_t seed, const ScenarioOptions& opts);
 /// Folds the scenario into a runnable ExperimentConfig: cluster shape, the
 /// run window, reliable delivery + consistency checking always on (the
 /// whole point is that the checker stays green), and every event mapped
-/// onto its transport decorator / launcher knob. Socket port/dir fields are
+/// onto its link episode / fuzz / launcher knob. Socket port/dir fields are
 /// left for the caller.
 void apply_scenario(const Scenario& s, workload::ExperimentConfig& cfg);
 

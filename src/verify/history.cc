@@ -251,7 +251,7 @@ std::vector<std::string> HistoryRecorder::check() const {
   // Exactness: every slice item is the LWW winner within the snapshot.
   // Two causal-safety assertions are checked first; they must hold under
   // ANY delivery schedule the transport produces — including the injected
-  // cross-channel reorder of runtime::ChaosTransport — because they depend
+  // cross-channel reorder of a link stall episode — because they depend
   // only on commit timestamps, never on arrival order:
   //  * no read from the future: a slice never returns a version committed
   //    after its snapshot (atomic-visibility / snapshot isolation);

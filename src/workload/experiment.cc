@@ -107,11 +107,9 @@ ExperimentResult run_local_experiment(const ExperimentConfig& cfg,
   dc.uniform_inter_dc_us = cfg.uniform_inter_dc_us;
   dc.uniform_intra_dc_us = cfg.uniform_intra_dc_us;
   dc.latency_model = cfg.latency_model;
-  dc.chaos = cfg.chaos;
+  dc.link_episodes = cfg.link_episodes;
   dc.reliable = cfg.reliable;
   dc.reliable_cfg = cfg.reliable_cfg;
-  dc.partitions = cfg.partitions;
-  dc.wan = cfg.wan;
   dc.fuzz = cfg.fuzz;
   dc.membership = cfg.membership;
   dc.seed = cfg.seed;
@@ -352,10 +350,8 @@ ExperimentResult run_local_experiment(const ExperimentConfig& cfg,
   res.visibility_hist = tracer.visibility();
   res.sim_events = dep.backend().events_executed();
   res.bytes_sent = dep.transport().total_bytes_sent();
-  if (dep.chaos_transport() != nullptr) res.chaos = dep.chaos_transport()->stats();
+  if (dep.link_transport() != nullptr) res.link = dep.link_transport()->stats();
   if (dep.reliable_transport() != nullptr) res.reliable = dep.reliable_transport()->stats();
-  if (dep.partition_transport() != nullptr) res.partition = dep.partition_transport()->stats();
-  if (dep.wan_transport() != nullptr) res.wan = dep.wan_transport()->stats();
   if (dep.fuzz_transport() != nullptr) res.fuzz = dep.fuzz_transport()->stats();
   if (dep.socket_backend() != nullptr) res.socket = dep.socket_backend()->stats();
   if (tracer.history() != nullptr) {

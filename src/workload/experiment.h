@@ -65,19 +65,15 @@ struct ExperimentConfig {
   bool aws_latency = true;
   std::uint64_t uniform_inter_dc_us = 40'000;
   std::uint64_t uniform_intra_dc_us = 150;
-  /// Threads runtime: latency-injecting transport decorator (the sim
-  /// backend models latency itself) and optional fault injection — both
-  /// draw from the aws/uniform latency settings above.
+  /// Threads/sockets: the link model — base delay from the aws/uniform
+  /// settings above (the sim backend models latency itself) plus scheduled
+  /// link episodes (partitions, chaos, WAN shaping) — and at-least-once
+  /// reliable delivery, under which link loss of any class still converges.
   runtime::LatencyModelKind latency_model = runtime::LatencyModelKind::kNone;
-  runtime::ChaosConfig chaos;
-  /// Threads runtime: at-least-once reliable delivery (chaos drops of any
-  /// class and partitions still converge) and scheduled inter-DC blackouts.
+  std::vector<runtime::LinkEpisode> link_episodes;
   bool reliable = false;
   runtime::ReliableConfig reliable_cfg;
-  runtime::PartitionSpec partitions;
-  /// Threads/sockets: WAN-realism link episodes and live channel fuzzing
-  /// (the scenario engine's knobs; both off by default).
-  runtime::WanConfig wan;
+  /// Threads/sockets: live channel fuzzing (off by default).
   runtime::FuzzConfig fuzz;
   /// Benchmarks default to size-only codec accounting; tests use kBytes to
   /// exercise the serialization on every delivery.
@@ -118,14 +114,10 @@ struct ExperimentResult {
   std::uint64_t sim_events = 0;
   std::uint64_t bytes_sent = 0;
   double wall_seconds = 0;
-  /// Fault-injection tallies (all zero unless cfg.chaos enabled).
-  runtime::ChaosTransport::Stats chaos;
+  /// Link-episode tallies (all zero unless cfg.link_episodes is set).
+  runtime::LinkTransport::Stats link;
   /// Reliable-delivery tallies (all zero unless cfg.reliable).
   runtime::ReliableTransport::Stats reliable;
-  /// Blackout tallies (all zero unless cfg.partitions configured).
-  runtime::PartitionTransport::Stats partition;
-  /// WAN link-shaping tallies (all zero unless cfg.wan configured).
-  runtime::WanTransport::Stats wan;
   /// Channel-fuzzing tallies (all zero unless cfg.fuzz enabled).
   runtime::FuzzTransport::Stats fuzz;
   /// Socket-runtime tallies, summed across children (zero otherwise).

@@ -36,7 +36,9 @@ namespace {
 /// key, removed key, or changed value semantics.
 ///   v1: unversioned historical format (no cfgver line).
 ///   v2: cfgver header; socket_hosts; membership_event lines.
-constexpr std::uint64_t kConfigCodecVersion = 2;
+///   v3: link_episode lines replace the chaos_* keys, partition_window,
+///       wan_episode and the seeds; socket_pump and socket_batch_io gone.
+constexpr std::uint64_t kConfigCodecVersion = 3;
 
 void put(std::ostringstream& o, const char* k, std::uint64_t v) {
   o << k << ' ' << v << '\n';
@@ -108,12 +110,6 @@ std::string encode_experiment_config(const ExperimentConfig& c) {
   put(o, "uniform_inter_dc_us", c.uniform_inter_dc_us);
   put(o, "uniform_intra_dc_us", c.uniform_intra_dc_us);
   put(o, "latency_model", static_cast<std::uint64_t>(c.latency_model));
-  put(o, "chaos_reorder_p", c.chaos.reorder_p);
-  put(o, "chaos_reorder_stall_us", c.chaos.reorder_stall_us);
-  put(o, "chaos_duplicate_p", c.chaos.duplicate_p);
-  put(o, "chaos_drop_p", c.chaos.drop_p);
-  put(o, "chaos_drop_class", static_cast<std::uint64_t>(c.chaos.drop_class));
-  put(o, "chaos_seed", c.chaos.seed);
   put(o, "reliable", static_cast<std::uint64_t>(c.reliable));
   put(o, "rto_us", c.reliable_cfg.rto_us);
   put(o, "max_rto_us", c.reliable_cfg.max_rto_us);
@@ -141,15 +137,12 @@ std::string encode_experiment_config(const ExperimentConfig& c) {
   put(o, "socket_kill_rank",
       static_cast<std::uint64_t>(static_cast<std::int64_t>(c.socket.kill_rank)));
   put(o, "socket_kill_after_ms", c.socket.kill_after_ms);
-  put(o, "socket_pump", static_cast<std::uint64_t>(c.socket.pump));
   put(o, "socket_outbound_budget", c.socket.outbound_budget);
-  put(o, "socket_batch_io", static_cast<std::uint64_t>(c.socket.batch_io));
   put(o, "socket_stall_rank",
       static_cast<std::uint64_t>(static_cast<std::int64_t>(c.socket.stall_rank)));
   put(o, "socket_stall_peer", static_cast<std::uint64_t>(c.socket.stall_peer));
   put(o, "socket_stall_at_ms", c.socket.stall_at_ms);
   put(o, "socket_stall_len_ms", c.socket.stall_len_ms);
-  put(o, "wan_seed", c.wan.seed);
   put(o, "fuzz_corrupt_p", c.fuzz.corrupt_p);
   put(o, "fuzz_replay_p", c.fuzz.replay_p);
   put(o, "fuzz_seed", c.fuzz.seed);
@@ -158,17 +151,15 @@ std::string encode_experiment_config(const ExperimentConfig& c) {
     o << "membership_event " << (ev.join ? 1 : 0) << ' ' << ev.rank << ' ' << ev.at_ms
       << '\n';
   }
-  for (const auto& w : c.partitions.windows) {
-    o << "partition_window " << w.a << ' ' << w.b << ' ' << (w.isolate_all ? 1 : 0) << ' '
-      << w.start_us << ' ' << w.end_us << '\n';
-  }
-  for (const auto& e : c.wan.episodes) {
+  for (const auto& e : c.link_episodes) {
     char fp[160];
-    std::snprintf(fp, sizeof(fp), "%.17g %.17g %.17g %.17g %.17g", e.p_good_bad,
-                  e.p_bad_good, e.loss_good, e.loss_bad, e.duplicate_p);
-    o << "wan_episode " << e.a << ' ' << e.b << ' ' << (e.symmetric ? 1 : 0) << ' '
-      << e.start_us << ' ' << e.end_us << ' ' << e.extra_delay_start_us << ' '
-      << e.extra_delay_end_us << ' ' << e.bandwidth_bytes_per_us << ' ' << fp << '\n';
+    std::snprintf(fp, sizeof(fp), "%.17g %.17g %.17g %.17g %.17g %.17g", e.loss_good,
+                  e.loss_bad, e.p_good_bad, e.p_bad_good, e.duplicate_p, e.stall_p);
+    o << "link_episode " << static_cast<unsigned>(e.links) << ' ' << e.a << ' ' << e.b << ' '
+      << (e.symmetric ? 1 : 0) << ' ' << e.start_us << ' ' << e.end_us << ' ' << fp << ' '
+      << static_cast<unsigned>(e.drop_class) << ' ' << e.stall_us << ' '
+      << e.bandwidth_bytes_per_us << ' ' << e.extra_delay_start_us << ' '
+      << e.extra_delay_end_us << '\n';
   }
   return o.str();
 }
@@ -212,28 +203,20 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       c.membership.events.push_back(ev);
       continue;
     }
-    if (key == "partition_window") {
-      runtime::PartitionWindow w;
-      std::uint32_t iso = 0;
-      if (!(in >> w.a >> w.b >> iso >> w.start_us >> w.end_us)) {
-        if (err != nullptr) *err = "truncated partition_window line";
+    if (key == "link_episode") {
+      runtime::LinkEpisode e;
+      std::uint32_t links = 0, sym = 0, cls = 0;
+      if (!(in >> links >> e.a >> e.b >> sym >> e.start_us >> e.end_us >> e.loss_good >>
+            e.loss_bad >> e.p_good_bad >> e.p_bad_good >> e.duplicate_p >> e.stall_p >> cls >>
+            e.stall_us >> e.bandwidth_bytes_per_us >> e.extra_delay_start_us >>
+            e.extra_delay_end_us)) {
+        if (err != nullptr) *err = "truncated link_episode line";
         return false;
       }
-      w.isolate_all = iso != 0;
-      c.partitions.windows.push_back(w);
-      continue;
-    }
-    if (key == "wan_episode") {
-      runtime::WanLinkEpisode e;
-      std::uint32_t sym = 0;
-      if (!(in >> e.a >> e.b >> sym >> e.start_us >> e.end_us >> e.extra_delay_start_us >>
-            e.extra_delay_end_us >> e.bandwidth_bytes_per_us >> e.p_good_bad >>
-            e.p_bad_good >> e.loss_good >> e.loss_bad >> e.duplicate_p)) {
-        if (err != nullptr) *err = "truncated wan_episode line";
-        return false;
-      }
+      e.links = static_cast<runtime::LinkEpisode::Links>(links);
       e.symmetric = sym != 0;
-      c.wan.episodes.push_back(e);
+      e.drop_class = static_cast<runtime::DropClass>(cls);
+      c.link_episodes.push_back(e);
       continue;
     }
     std::string val;
@@ -345,18 +328,6 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       c.uniform_intra_dc_us = u;
     } else if (key == "latency_model") {
       c.latency_model = static_cast<runtime::LatencyModelKind>(u);
-    } else if (key == "chaos_reorder_p") {
-      c.chaos.reorder_p = d;
-    } else if (key == "chaos_reorder_stall_us") {
-      c.chaos.reorder_stall_us = u;
-    } else if (key == "chaos_duplicate_p") {
-      c.chaos.duplicate_p = d;
-    } else if (key == "chaos_drop_p") {
-      c.chaos.drop_p = d;
-    } else if (key == "chaos_drop_class") {
-      c.chaos.drop_class = static_cast<runtime::ChaosDropClass>(u);
-    } else if (key == "chaos_seed") {
-      c.chaos.seed = u;
     } else if (key == "reliable") {
       c.reliable = u != 0;
     } else if (key == "rto_us") {
@@ -399,12 +370,8 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       c.socket.kill_rank = static_cast<std::int32_t>(static_cast<std::int64_t>(u));
     } else if (key == "socket_kill_after_ms") {
       c.socket.kill_after_ms = u;
-    } else if (key == "socket_pump") {
-      c.socket.pump = static_cast<runtime::SocketPump>(u);
     } else if (key == "socket_outbound_budget") {
       c.socket.outbound_budget = u;
-    } else if (key == "socket_batch_io") {
-      c.socket.batch_io = u != 0;
     } else if (key == "socket_stall_rank") {
       c.socket.stall_rank = static_cast<std::int32_t>(static_cast<std::int64_t>(u));
     } else if (key == "socket_stall_peer") {
@@ -413,8 +380,6 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       c.socket.stall_at_ms = u;
     } else if (key == "socket_stall_len_ms") {
       c.socket.stall_len_ms = u;
-    } else if (key == "wan_seed") {
-      c.wan.seed = u;
     } else if (key == "fuzz_corrupt_p") {
       c.fuzz.corrupt_p = d;
     } else if (key == "fuzz_replay_p") {
@@ -519,9 +484,12 @@ void encode_child_result(const ExperimentResult& res,
   e.put_varint(res.max_client_cache);
   e.put_varint(res.sim_events);
   e.put_varint(res.bytes_sent);
-  e.put_varint(res.chaos.stalled);
-  e.put_varint(res.chaos.duplicated);
-  e.put_varint(res.chaos.dropped);
+  e.put_varint(res.link.shaped);
+  e.put_varint(res.link.dropped);
+  e.put_varint(res.link.duplicated);
+  e.put_varint(res.link.stalled);
+  e.put_varint(res.link.bw_queued);
+  e.put_varint(res.link.bw_wait_us);
   e.put_varint(res.reliable.frames_sent);
   e.put_varint(res.reliable.retransmits);
   e.put_varint(res.reliable.fast_retransmits);
@@ -533,7 +501,6 @@ void encode_child_result(const ExperimentResult& res,
   e.put_varint(res.reliable.sacked_skips);
   e.put_varint(res.reliable.malformed_acks);
   e.put_varint(res.reliable.rtt_samples);
-  e.put_varint(res.partition.dropped);
   e.put_varint(res.socket.frames_out);
   e.put_varint(res.socket.frames_in);
   e.put_varint(res.socket.bytes_out);
@@ -557,12 +524,6 @@ void encode_child_result(const ExperimentResult& res,
   e.put_varint(res.socket.flushes);
   e.put_varint(res.socket.backpressure_stalls);
   e.put_varint(res.socket.backpressure_drops);
-  e.put_varint(res.socket.uring_fallback);
-  e.put_varint(res.wan.shaped);
-  e.put_varint(res.wan.ge_dropped);
-  e.put_varint(res.wan.duplicated);
-  e.put_varint(res.wan.bw_queued);
-  e.put_varint(res.wan.bw_wait_us);
   e.put_varint(res.fuzz.mutated);
   e.put_varint(res.fuzz.flips);
   e.put_varint(res.fuzz.truncations);
@@ -621,9 +582,12 @@ bool decode_child_result(const std::vector<std::uint8_t>& in, ExperimentResult& 
   res.max_client_cache = d.get_varint();
   res.sim_events = d.get_varint();
   res.bytes_sent = d.get_varint();
-  res.chaos.stalled = d.get_varint();
-  res.chaos.duplicated = d.get_varint();
-  res.chaos.dropped = d.get_varint();
+  res.link.shaped = d.get_varint();
+  res.link.dropped = d.get_varint();
+  res.link.duplicated = d.get_varint();
+  res.link.stalled = d.get_varint();
+  res.link.bw_queued = d.get_varint();
+  res.link.bw_wait_us = d.get_varint();
   res.reliable.frames_sent = d.get_varint();
   res.reliable.retransmits = d.get_varint();
   res.reliable.fast_retransmits = d.get_varint();
@@ -635,7 +599,6 @@ bool decode_child_result(const std::vector<std::uint8_t>& in, ExperimentResult& 
   res.reliable.sacked_skips = d.get_varint();
   res.reliable.malformed_acks = d.get_varint();
   res.reliable.rtt_samples = d.get_varint();
-  res.partition.dropped = d.get_varint();
   res.socket.frames_out = d.get_varint();
   res.socket.frames_in = d.get_varint();
   res.socket.bytes_out = d.get_varint();
@@ -659,12 +622,6 @@ bool decode_child_result(const std::vector<std::uint8_t>& in, ExperimentResult& 
   res.socket.flushes = d.get_varint();
   res.socket.backpressure_stalls = d.get_varint();
   res.socket.backpressure_drops = d.get_varint();
-  res.socket.uring_fallback = d.get_varint();
-  res.wan.shaped = d.get_varint();
-  res.wan.ge_dropped = d.get_varint();
-  res.wan.duplicated = d.get_varint();
-  res.wan.bw_queued = d.get_varint();
-  res.wan.bw_wait_us = d.get_varint();
   res.fuzz.mutated = d.get_varint();
   res.fuzz.flips = d.get_varint();
   res.fuzz.truncations = d.get_varint();
@@ -827,9 +784,12 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
     res.max_client_cache = std::max(res.max_client_cache, part.max_client_cache);
     res.sim_events += part.sim_events;
     res.bytes_sent += part.bytes_sent;
-    res.chaos.stalled += part.chaos.stalled;
-    res.chaos.duplicated += part.chaos.duplicated;
-    res.chaos.dropped += part.chaos.dropped;
+    res.link.shaped += part.link.shaped;
+    res.link.dropped += part.link.dropped;
+    res.link.duplicated += part.link.duplicated;
+    res.link.stalled += part.link.stalled;
+    res.link.bw_queued += part.link.bw_queued;
+    res.link.bw_wait_us += part.link.bw_wait_us;
     res.reliable.frames_sent += part.reliable.frames_sent;
     res.reliable.retransmits += part.reliable.retransmits;
     res.reliable.fast_retransmits += part.reliable.fast_retransmits;
@@ -841,7 +801,6 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
     res.reliable.sacked_skips += part.reliable.sacked_skips;
     res.reliable.malformed_acks += part.reliable.malformed_acks;
     res.reliable.rtt_samples += part.reliable.rtt_samples;
-    res.partition.dropped += part.partition.dropped;
     res.socket.frames_out += part.socket.frames_out;
     res.socket.frames_in += part.socket.frames_in;
     res.socket.bytes_out += part.socket.bytes_out;
@@ -859,12 +818,6 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
     res.socket.flushes += part.socket.flushes;
     res.socket.backpressure_stalls += part.socket.backpressure_stalls;
     res.socket.backpressure_drops += part.socket.backpressure_drops;
-    res.socket.uring_fallback += part.socket.uring_fallback;
-    res.wan.shaped += part.wan.shaped;
-    res.wan.ge_dropped += part.wan.ge_dropped;
-    res.wan.duplicated += part.wan.duplicated;
-    res.wan.bw_queued += part.wan.bw_queued;
-    res.wan.bw_wait_us += part.wan.bw_wait_us;
     res.fuzz.mutated += part.fuzz.mutated;
     res.fuzz.flips += part.fuzz.flips;
     res.fuzz.truncations += part.fuzz.truncations;

@@ -103,7 +103,7 @@ TEST(Recorder, MergeSumsCountsAndAdoptsWindow) {
 
 constexpr std::uint64_t kStallMs = 500;
 
-ExperimentConfig stall_config(std::uint16_t base_port, bool open_loop) {
+ExperimentConfig stall_config(bool open_loop) {
   ExperimentConfig cfg;
   cfg.runtime = runtime::Kind::kSockets;
   cfg.num_dcs = 2;
@@ -111,7 +111,7 @@ ExperimentConfig stall_config(std::uint16_t base_port, bool open_loop) {
   cfg.replication = 1;
   cfg.threads_per_process = 2;
   cfg.socket.processes = 2;
-  cfg.socket.base_port = base_port;
+  cfg.socket.hosts = runtime::free_loopback_host_list(2);
   // Every transaction spans both partitions so the stalled direction gates
   // all traffic (replication=1: each partition lives in exactly one DC).
   cfg.workload.ops_per_tx = 4;
@@ -136,7 +136,7 @@ ExperimentConfig stall_config(std::uint16_t base_port, bool open_loop) {
 }
 
 TEST(CoordinatedOmission, OpenLoopIntendedP99SeesTheStallServiceP99DoesNot) {
-  const auto res = run_experiment(stall_config(7885, /*open_loop=*/true));
+  const auto res = run_experiment(stall_config(/*open_loop=*/true));
   for (const auto& v : res.violations) ADD_FAILURE() << "violation: " << v;
   ASSERT_GT(res.committed, 0u);
   EXPECT_GT(res.scheduled, 0u);
@@ -158,7 +158,7 @@ TEST(CoordinatedOmission, OpenLoopIntendedP99SeesTheStallServiceP99DoesNot) {
 
 TEST(CoordinatedOmission, ClosedLoopRecorderHidesTheIdenticalStall) {
   // The exact same cluster, fault schedule and seed — measured the old way.
-  const auto closed = run_experiment(stall_config(7888, /*open_loop=*/false));
+  const auto closed = run_experiment(stall_config(/*open_loop=*/false));
   for (const auto& v : closed.violations) ADD_FAILURE() << "violation: " << v;
   ASSERT_GT(closed.committed, 0u);
 

@@ -25,8 +25,7 @@
 namespace paris::workload {
 namespace {
 
-ExperimentConfig memb_config(proto::System sys, runtime::Kind rt,
-                             std::uint16_t base_port, std::uint64_t seed) {
+ExperimentConfig memb_config(proto::System sys, runtime::Kind rt, std::uint64_t seed) {
   ExperimentConfig cfg;
   cfg.system = sys;
   cfg.runtime = rt;
@@ -45,7 +44,7 @@ ExperimentConfig memb_config(proto::System sys, runtime::Kind rt,
   cfg.codec = sim::CodecMode::kBytes;
   if (rt == runtime::Kind::kSockets) {
     cfg.socket.processes = 3;
-    cfg.socket.base_port = base_port;
+    cfg.socket.hosts = runtime::free_loopback_host_list(3);
     cfg.reliable = true;  // beacons converge views; retransmission heals data
   }
   return cfg;
@@ -79,25 +78,25 @@ void expect_clean(const ExperimentResult& res) {
 // ---------------------------------------------------------------------------
 
 TEST(MembershipE2E, ParisJoinOnThreadsIsCheckerClean) {
-  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kThreads, 0, 101);
+  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kThreads, 101);
   schedule_join(cfg, 2, 400);
   expect_clean(run_experiment(cfg));
 }
 
 TEST(MembershipE2E, BprJoinOnThreadsIsCheckerClean) {
-  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kThreads, 0, 102);
+  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kThreads, 102);
   schedule_join(cfg, 2, 400);
   expect_clean(run_experiment(cfg));
 }
 
 TEST(MembershipE2E, ParisLeaveOnThreadsDrainsCleanly) {
-  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kThreads, 0, 103);
+  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kThreads, 103);
   schedule_leave(cfg, 1, 700);
   expect_clean(run_experiment(cfg));
 }
 
 TEST(MembershipE2E, BprLeaveOnThreadsDrainsCleanly) {
-  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kThreads, 0, 104);
+  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kThreads, 104);
   schedule_leave(cfg, 1, 700);
   expect_clean(run_experiment(cfg));
 }
@@ -109,19 +108,19 @@ TEST(MembershipE2E, BprLeaveOnThreadsDrainsCleanly) {
 // ---------------------------------------------------------------------------
 
 TEST(MembershipE2E, ParisJoinAcrossThreeProcessesIsCheckerClean) {
-  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 7951, 105);
+  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 105);
   schedule_join(cfg, 2, 500);
   expect_clean(run_experiment(cfg));
 }
 
 TEST(MembershipE2E, BprJoinAcrossThreeProcessesIsCheckerClean) {
-  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kSockets, 7961, 106);
+  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kSockets, 106);
   schedule_join(cfg, 2, 500);
   expect_clean(run_experiment(cfg));
 }
 
 TEST(MembershipE2E, ParisLeaveAcrossThreeProcessesDrainsCleanly) {
-  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 7971, 107);
+  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 107);
   schedule_leave(cfg, 1, 1000);
   expect_clean(run_experiment(cfg));
 }
@@ -161,7 +160,7 @@ TEST(MembershipE2E, HostListSpansTwoLoopbackIPs) {
 // ---------------------------------------------------------------------------
 
 TEST(ConfigCodec, RoundtripsHostsAndMembershipSchedule) {
-  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kSockets, 7421, 42);
+  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kSockets, 42);
   schedule_join(cfg, 2, 500);
   schedule_leave(cfg, 1, 900);
   std::string err;
@@ -187,8 +186,52 @@ TEST(ConfigCodec, RoundtripsHostsAndMembershipSchedule) {
   EXPECT_EQ(out.membership.events[1].at_ms, 900u);
 }
 
+TEST(ConfigCodec, RoundtripsLinkEpisodes) {
+  auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 1);
+  runtime::LinkEpisode wan;
+  wan.links = runtime::LinkEpisode::Links::kPair;
+  wan.a = 2;
+  wan.b = 1;
+  wan.start_us = 100;
+  wan.end_us = 900;
+  wan.loss_good = 0.125;
+  wan.loss_bad = 0.7;
+  wan.p_good_bad = 0.1;
+  wan.p_bad_good = 1.0 / 3.0;
+  wan.duplicate_p = 0.05;
+  wan.bandwidth_bytes_per_us = 12;
+  wan.extra_delay_start_us = 1'000;
+  wan.extra_delay_end_us = 9'000;
+  runtime::LinkEpisode chaos = runtime::LinkEpisode::chaos();
+  ASSERT_TRUE(runtime::parse_chaos_knob("drop", "requests:0.2", chaos));
+  ASSERT_TRUE(runtime::parse_chaos_knob("reorder", "0.01", chaos));
+  cfg.link_episodes = {runtime::LinkEpisode::partition(0, 2, true, 5, 6), wan, chaos};
+
+  const std::string text = detail::encode_experiment_config(cfg);
+  ExperimentConfig out;
+  std::string err;
+  ASSERT_TRUE(detail::decode_experiment_config(text, out, &err)) << err;
+  ASSERT_EQ(out.link_episodes.size(), 3u);
+  EXPECT_EQ(out.link_episodes[0].links, runtime::LinkEpisode::Links::kIsolate);
+  EXPECT_EQ(out.link_episodes[0].loss_good, 1.0);
+  const runtime::LinkEpisode& w = out.link_episodes[1];
+  EXPECT_EQ(w.links, runtime::LinkEpisode::Links::kPair);
+  EXPECT_FALSE(w.symmetric);
+  EXPECT_EQ(w.a, 2u);
+  EXPECT_EQ(w.end_us, 900u);
+  EXPECT_EQ(w.p_bad_good, 1.0 / 3.0);  // %.17g round-trips doubles exactly
+  EXPECT_EQ(w.bandwidth_bytes_per_us, 12u);
+  EXPECT_EQ(w.extra_delay_end_us, 9'000u);
+  const runtime::LinkEpisode& c = out.link_episodes[2];
+  EXPECT_EQ(c.links, runtime::LinkEpisode::Links::kEvery);
+  EXPECT_EQ(c.end_us, ~0ull);
+  EXPECT_EQ(c.drop_class, runtime::DropClass::kRequests);
+  EXPECT_EQ(c.stall_us, 10'000u);
+  EXPECT_EQ(detail::encode_experiment_config(out), text);
+}
+
 TEST(ConfigCodec, MissingHeaderFailsWithClearMessage) {
-  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 7421, 1);
+  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 1);
   std::string text = detail::encode_experiment_config(cfg);
   text = text.substr(text.find('\n') + 1);  // strip the cfgver line
 
@@ -200,7 +243,7 @@ TEST(ConfigCodec, MissingHeaderFailsWithClearMessage) {
 }
 
 TEST(ConfigCodec, VersionSkewNamesBothVersions) {
-  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 7421, 1);
+  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 1);
   std::string text = detail::encode_experiment_config(cfg);
   const std::size_t eol = text.find('\n');
   text = "cfgver 999\n" + text.substr(eol + 1);
@@ -213,7 +256,7 @@ TEST(ConfigCodec, VersionSkewNamesBothVersions) {
 }
 
 TEST(ConfigCodec, UnknownKeyWithinMatchingVersionStillFails) {
-  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 7421, 1);
+  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 1);
   const std::string text =
       detail::encode_experiment_config(cfg) + "some_future_knob 7\n";
 

@@ -140,8 +140,7 @@ using workload::ExperimentConfig;
 using workload::ExperimentResult;
 using workload::run_experiment;
 
-ExperimentConfig migration_config(proto::System sys, runtime::Kind rt, std::uint16_t base_port,
-                                  std::uint64_t seed) {
+ExperimentConfig migration_config(proto::System sys, runtime::Kind rt, std::uint64_t seed) {
   ExperimentConfig cfg;
   cfg.system = sys;
   cfg.runtime = rt;
@@ -151,7 +150,7 @@ ExperimentConfig migration_config(proto::System sys, runtime::Kind rt, std::uint
   cfg.threads_per_process = 4;
   if (rt == runtime::Kind::kSockets) {
     cfg.socket.processes = 3;
-    cfg.socket.base_port = base_port;
+    cfg.socket.hosts = runtime::free_loopback_host_list(3);
   }
   // Hot-spot skew accessed from every DC: each hot key's current partition
   // carries its (large) sketched load, so the balance tie-break always finds
@@ -193,29 +192,29 @@ void expect_migrated_clean(const ExperimentResult& res) {
 
 TEST(PlacementE2E, ParisThreadsMigratesHotKeysCheckerClean) {
   expect_migrated_clean(
-      run_experiment(migration_config(proto::System::kParis, runtime::Kind::kThreads, 0, 71)));
+      run_experiment(migration_config(proto::System::kParis, runtime::Kind::kThreads, 71)));
 }
 
 TEST(PlacementE2E, BprThreadsMigratesHotKeysCheckerClean) {
   expect_migrated_clean(
-      run_experiment(migration_config(proto::System::kBpr, runtime::Kind::kThreads, 0, 72)));
+      run_experiment(migration_config(proto::System::kBpr, runtime::Kind::kThreads, 72)));
 }
 
 TEST(PlacementE2E, ParisSocketsMigratesHotKeysCheckerClean) {
   expect_migrated_clean(
-      run_experiment(migration_config(proto::System::kParis, runtime::Kind::kSockets, 7891, 73)));
+      run_experiment(migration_config(proto::System::kParis, runtime::Kind::kSockets, 73)));
 }
 
 TEST(PlacementE2E, BprSocketsMigratesHotKeysCheckerClean) {
   expect_migrated_clean(
-      run_experiment(migration_config(proto::System::kBpr, runtime::Kind::kSockets, 7895, 74)));
+      run_experiment(migration_config(proto::System::kBpr, runtime::Kind::kSockets, 74)));
 }
 
 // Teeth check: a migration that "completes" without copying the chain MUST
 // be caught. The seeded fault ships an empty chain to the destination, so
 // post-cutover snapshot reads of the hottest keys see a hole in history.
 TEST(PlacementE2E, SkipCopyFaultIsCaughtByCheckers) {
-  auto cfg = migration_config(proto::System::kParis, runtime::Kind::kSim, 0, 75);
+  auto cfg = migration_config(proto::System::kParis, runtime::Kind::kSim, 75);
   cfg.measure_us = 3'000'000;
   cfg.protocol.migrate_fault_skip_copy = true;
   const auto res = run_experiment(cfg);

@@ -267,7 +267,9 @@ TEST(SocketEpochFence, StaleIncarnationHelloIsFencedAndListenerFires) {
   runtime::SocketBackend::Options opt;
   opt.rank = 0;
   opt.nprocs = 2;
-  opt.hosts = runtime::loopback_host_list(2, 7721);
+  opt.hosts = runtime::free_loopback_host_list(2);
+  ASSERT_EQ(opt.hosts.size(), 2u) << "no free loopback ports";
+  const std::uint16_t port = opt.hosts[0].port;
   opt.workers = 1;
   opt.seed = 9;
   opt.connect_timeout_ms = 10'000;
@@ -287,7 +289,7 @@ TEST(SocketEpochFence, StaleIncarnationHelloIsFencedAndListenerFires) {
   // "Rank 1, incarnation 2" rendezvouses while start() waits for the mesh.
   int fd_live = -1;
   std::thread fake([&] {
-    fd_live = dial_loopback(7721);
+    fd_live = dial_loopback(port);
     ASSERT_GE(fd_live, 0);
     send_hello(fd_live, /*rank=*/1, opt.mesh_token, /*epoch=*/2);
   });
@@ -302,7 +304,7 @@ TEST(SocketEpochFence, StaleIncarnationHelloIsFencedAndListenerFires) {
 
   // A zombie of the dead incarnation (epoch 1 < 2) redials in: fenced —
   // the connection is closed without ever joining the mesh.
-  const int fd_stale = dial_loopback(7721);
+  const int fd_stale = dial_loopback(port);
   ASSERT_GE(fd_stale, 0);
   send_hello(fd_stale, /*rank=*/1, opt.mesh_token, /*epoch=*/1);
   std::uint64_t fenced = 0;
@@ -317,7 +319,7 @@ TEST(SocketEpochFence, StaleIncarnationHelloIsFencedAndListenerFires) {
 
   // The NEXT incarnation (epoch 3) replaces the live connection and fires
   // the listener again.
-  const int fd_next = dial_loopback(7721);
+  const int fd_next = dial_loopback(port);
   ASSERT_GE(fd_next, 0);
   send_hello(fd_next, /*rank=*/1, opt.mesh_token, /*epoch=*/3);
   for (int spin = 0; spin < 400 && be.peer_epoch(1) != 3; ++spin) ::usleep(10'000);
@@ -340,8 +342,7 @@ TEST(SocketEpochFence, StaleIncarnationHelloIsFencedAndListenerFires) {
 // checkers accept the full cross-process execution.
 // ---------------------------------------------------------------------------
 
-workload::ExperimentConfig kill_under_load_config(System sys, std::uint16_t base_port,
-                                                  std::uint32_t replication,
+workload::ExperimentConfig kill_under_load_config(System sys, std::uint32_t replication,
                                                   std::uint64_t seed) {
   workload::ExperimentConfig cfg;
   cfg.system = sys;
@@ -350,7 +351,7 @@ workload::ExperimentConfig kill_under_load_config(System sys, std::uint16_t base
   cfg.num_partitions = 3;
   cfg.replication = replication;
   cfg.socket.processes = 3;
-  cfg.socket.base_port = base_port;
+  cfg.socket.hosts = runtime::free_loopback_host_list(3);
   cfg.socket.supervise = true;
   cfg.socket.max_respawns = 2;
   cfg.socket.kill_rank = 1;
@@ -384,12 +385,12 @@ void expect_healed(const workload::ExperimentResult& res) {
 
 TEST(RecoveryE2E, ParisKillUnderLoadHealsCheckerClean) {
   expect_healed(workload::run_experiment(
-      kill_under_load_config(System::kParis, 7701, /*replication=*/3, /*seed=*/101)));
+      kill_under_load_config(System::kParis, /*replication=*/3, /*seed=*/101)));
 }
 
 TEST(RecoveryE2E, BprKillUnderLoadHealsCheckerClean) {
   expect_healed(workload::run_experiment(
-      kill_under_load_config(System::kBpr, 7711, /*replication=*/2, /*seed=*/103)));
+      kill_under_load_config(System::kBpr, /*replication=*/2, /*seed=*/103)));
 }
 
 }  // namespace

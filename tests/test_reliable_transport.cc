@@ -1,6 +1,6 @@
 // ReliableTransport tests: exactly-once in-order delivery over deterministic
 // message loss, duplicate-ack tolerance, retransmit-after-heal through a
-// PartitionTransport blackout, latest-wins coalescing, window recycling
+// LinkTransport blackout, latest-wins coalescing, window recycling
 // under sustained loss, end-to-end convergence — chaos may drop ANY
 // message class and the exactness + causal + session checkers stay green —
 // the framing rule (only channels that can lose a frame are framed) and the
@@ -13,7 +13,7 @@
 #include <mutex>
 #include <vector>
 
-#include "runtime/partition_transport.h"
+#include "runtime/link_transport.h"
 #include "runtime/reliable_transport.h"
 #include "runtime/thread_runtime.h"
 #include "workload/experiment.h"
@@ -21,9 +21,9 @@
 namespace paris::test {
 namespace {
 
-using runtime::PartitionSpec;
-using runtime::PartitionTransport;
-using runtime::PartitionWindow;
+using runtime::DropClass;
+using runtime::LinkEpisode;
+using runtime::LinkTransport;
 using runtime::ReliableConfig;
 using runtime::ReliableTransport;
 using runtime::ThreadBackend;
@@ -171,9 +171,8 @@ TEST(ReliableTransport, RetransmitsAfterPartitionHeals) {
   // Blackout DC0 <-> DC1 from construction until t=80ms: the first
   // transmissions and early retransmits are all eaten; delivery must happen
   // via retransmission after the heal deadline.
-  PartitionSpec spec;
-  spec.windows.push_back(PartitionWindow{0, 1, false, 0, 80'000});
-  PartitionTransport part(be.transport(), be.exec(), spec);
+  LinkTransport part(be.transport(), be.exec(), std::nullopt,
+                     {LinkEpisode::partition(0, 1, false, 0, 80'000)}, /*seed=*/1);
   Rig rig(be, part, fast_rto());
 
   const std::uint64_t kMsgs = 10;
@@ -192,9 +191,8 @@ TEST(ReliableTransport, RetransmitsAfterPartitionHeals) {
 
 TEST(ReliableTransport, CoalescesSupersededLatestWinsMessages) {
   ThreadBackend be(ThreadBackend::Options{2, 1});
-  PartitionSpec spec;
-  spec.windows.push_back(PartitionWindow{0, 1, false, 0, 60'000});
-  PartitionTransport part(be.transport(), be.exec(), spec);
+  LinkTransport part(be.transport(), be.exec(), std::nullopt,
+                     {LinkEpisode::partition(0, 1, false, 0, 60'000)}, /*seed=*/1);
   Rig rig(be, part, fast_rto());
 
   // 20 heartbeats into the blackout: 19 are superseded while unacked, so
@@ -252,9 +250,8 @@ TEST(ReliableTransport, InFlightCapBoundsBlackoutProbes) {
   // go-back-N would resend all 60 frames on every probe. After heal the
   // queued tail must ack-clock out completely, in order.
   ThreadBackend be(ThreadBackend::Options{2, 1});
-  PartitionSpec spec;
-  spec.windows.push_back(PartitionWindow{0, 1, false, 0, 100'000});
-  PartitionTransport part(be.transport(), be.exec(), spec);
+  LinkTransport part(be.transport(), be.exec(), std::nullopt,
+                     {LinkEpisode::partition(0, 1, false, 0, 100'000)}, /*seed=*/1);
   FaultyTransport counter(part);  // no drops; counts frame transmissions
   ReliableConfig cfg;
   cfg.rto_us = 5'000;
@@ -395,9 +392,8 @@ TEST(ReliableSack, MalformedRangesAreRejectedNotTrusted) {
   // must still complete exactly once after the blackout heals, proving no
   // window state was corrupted.
   ThreadBackend be(ThreadBackend::Options{2, 1});
-  PartitionSpec spec;
-  spec.windows.push_back(PartitionWindow{0, 1, false, 0, 120'000});
-  PartitionTransport part(be.transport(), be.exec(), spec);
+  LinkTransport part(be.transport(), be.exec(), std::nullopt,
+                     {LinkEpisode::partition(0, 1, false, 0, 120'000)}, /*seed=*/1);
   Rig rig(be, part, fast_rto());
 
   const std::uint64_t kMsgs = 10;
@@ -471,8 +467,8 @@ TEST(AdaptiveRto, BackoffHoldsUntilAValidSample) {
   // and primes the estimator. Resetting the backoff on any ack would time
   // out every frame and never take a sample.
   ThreadBackend be(ThreadBackend::Options{2, 1});
-  runtime::LatencyTransport wan(be.transport(), be.exec(),
-                                sim::LatencyModel::uniform(2, 30'000, 150), 1);
+  LinkTransport wan(be.transport(), be.exec(), sim::LatencyModel::uniform(2, 30'000, 150), {},
+                    1);
   ReliableConfig cfg;  // adaptive RTO: the default
   cfg.rto_us = 20'000;
   Rig rig(be, wan, cfg);
@@ -492,34 +488,72 @@ TEST(AdaptiveRto, BackoffHoldsUntilAValidSample) {
 }
 
 TEST(PartitionSpec, ParsesPairIsolationAndLists) {
-  PartitionSpec spec;
+  std::vector<LinkEpisode> spec;
   ASSERT_TRUE(runtime::parse_partition_spec("0-1:500:1500", spec));
-  ASSERT_EQ(spec.windows.size(), 1u);
-  EXPECT_FALSE(spec.windows[0].isolate_all);
-  EXPECT_EQ(spec.windows[0].a, 0u);
-  EXPECT_EQ(spec.windows[0].b, 1u);
-  EXPECT_EQ(spec.windows[0].start_us, 500'000u);
-  EXPECT_EQ(spec.windows[0].end_us, 1'500'000u);
+  ASSERT_EQ(spec.size(), 1u);
+  EXPECT_EQ(spec[0].links, LinkEpisode::Links::kPair);
+  EXPECT_TRUE(spec[0].symmetric);
+  EXPECT_EQ(spec[0].a, 0u);
+  EXPECT_EQ(spec[0].b, 1u);
+  EXPECT_EQ(spec[0].start_us, 500'000u);
+  EXPECT_EQ(spec[0].end_us, 1'500'000u);
+  EXPECT_EQ(spec[0].loss_good, 1.0);  // a partition is an episode with loss 1
+  EXPECT_EQ(spec[0].drop_class, DropClass::kAll);
 
+  spec.clear();
   ASSERT_TRUE(runtime::parse_partition_spec("2:2000:2500,0-1:1:2", spec));
-  ASSERT_EQ(spec.windows.size(), 2u);
-  EXPECT_TRUE(spec.windows[0].isolate_all);
-  EXPECT_EQ(spec.windows[0].a, 2u);
-  EXPECT_FALSE(spec.windows[1].isolate_all);
+  ASSERT_EQ(spec.size(), 2u);
+  EXPECT_EQ(spec[0].links, LinkEpisode::Links::kIsolate);
+  EXPECT_EQ(spec[0].a, 2u);
+  EXPECT_EQ(spec[1].links, LinkEpisode::Links::kPair);
 
   // Blackout predicate: pair window hits both directions, nothing else.
-  const PartitionWindow& w = spec.windows[1];
-  EXPECT_TRUE(w.blacks_out(0, 1, 1'500));
-  EXPECT_TRUE(w.blacks_out(1, 0, 1'500));
-  EXPECT_FALSE(w.blacks_out(0, 2, 1'500));
-  EXPECT_FALSE(w.blacks_out(0, 1, 2'000));  // heal deadline is exclusive
+  const LinkEpisode& w = spec[1];
+  EXPECT_TRUE(w.active(0, 1, 1'500));
+  EXPECT_TRUE(w.active(1, 0, 1'500));
+  EXPECT_FALSE(w.active(0, 2, 1'500));
+  EXPECT_FALSE(w.active(0, 1, 2'000));  // heal deadline is exclusive
 
-  PartitionSpec bad;
+  std::vector<LinkEpisode> bad;
   EXPECT_FALSE(runtime::parse_partition_spec("", bad));
   EXPECT_FALSE(runtime::parse_partition_spec("0-1:500", bad));
   EXPECT_FALSE(runtime::parse_partition_spec("0-1:900:100", bad));  // end <= start
   EXPECT_FALSE(runtime::parse_partition_spec("x-1:1:2", bad));
   EXPECT_FALSE(runtime::parse_partition_spec("-1:0:500", bad));  // no unsigned wrap
+  EXPECT_TRUE(bad.empty());
+
+  // The --chaos-* knobs build one whole-run, every-channel episode.
+  LinkEpisode chaos = LinkEpisode::chaos();
+  EXPECT_TRUE(chaos.inert());
+  ASSERT_TRUE(runtime::parse_chaos_knob("reorder", "0.25", chaos));
+  ASSERT_TRUE(runtime::parse_chaos_knob("stall-ms", "7", chaos));
+  ASSERT_TRUE(runtime::parse_chaos_knob("duplicate", "1", chaos));
+  ASSERT_TRUE(runtime::parse_chaos_knob("drop", "0.1", chaos));
+  EXPECT_EQ(chaos.links, LinkEpisode::Links::kEvery);
+  EXPECT_EQ(chaos.stall_p, 0.25);
+  EXPECT_EQ(chaos.stall_us, 7'000u);
+  EXPECT_EQ(chaos.duplicate_p, 1.0);
+  EXPECT_EQ(chaos.loss_good, 0.1);
+  EXPECT_EQ(chaos.drop_class, DropClass::kReplication);  // the default class
+  ASSERT_TRUE(runtime::parse_chaos_knob("drop", "requests:0.05", chaos));
+  EXPECT_EQ(chaos.drop_class, DropClass::kRequests);
+  EXPECT_EQ(chaos.loss_good, 0.05);
+
+  // Malformed values are rejected and leave the episode untouched, where a
+  // lenient atof/atoll would read "abc" as 0 and wrap "-5" to ~2^64.
+  const LinkEpisode before = chaos;
+  for (const auto& [knob, value] : std::vector<std::pair<std::string, std::string>>{
+           {"reorder", "abc"},     {"reorder", ""},          {"reorder", "0.5x"},
+           {"reorder", "nan"},     {"duplicate", "-0.1"},    {"drop", "all:1.5"},
+           {"drop", "1.5"},        {"drop", "bogus:0.1"},    {"drop", "all:"},
+           {"stall-ms", "-5"},     {"stall-ms", "abc"},      {"stall-ms", "5ms"},
+           {"stall-ms", "99999999999999999999"},             {"bogus", "0.1"}}) {
+    EXPECT_FALSE(runtime::parse_chaos_knob(knob, value, chaos)) << knob << "=" << value;
+  }
+  EXPECT_EQ(chaos.stall_p, before.stall_p);
+  EXPECT_EQ(chaos.stall_us, before.stall_us);
+  EXPECT_EQ(chaos.loss_good, before.loss_good);
+  EXPECT_EQ(chaos.drop_class, before.drop_class);
 }
 
 // ---------------------------------------------------------------------------
@@ -540,6 +574,23 @@ constexpr std::uint64_t kTimeScale = 1;
 #else
 constexpr std::uint64_t kTimeScale = 1;
 #endif
+
+/// A whole-run chaos episode dropping `p` of `cls`.
+LinkEpisode chaos_drop(double p, DropClass cls) {
+  LinkEpisode e = LinkEpisode::chaos();
+  e.loss_good = p;
+  e.drop_class = cls;
+  return e;
+}
+
+/// Rare 1 ms chaos stalls: they lose nothing but put a link episode below
+/// the reliable layer, so every channel is framed.
+LinkEpisode rare_stalls() {
+  LinkEpisode e = LinkEpisode::chaos();
+  e.stall_p = 0.001;
+  e.stall_us = 1'000;
+  return e;
+}
 
 workload::ExperimentConfig reliable_cluster(std::uint64_t seed) {
   workload::ExperimentConfig cfg;
@@ -575,13 +626,12 @@ TEST(ReliableEndToEnd, ChaosDropAnythingStillConvergesCheckerClean) {
   for (const auto sys : {proto::System::kParis, proto::System::kBpr}) {
     auto cfg = reliable_cluster(71);
     cfg.system = sys;
-    cfg.chaos.drop_p = 0.15;
-    cfg.chaos.drop_class = runtime::ChaosDropClass::kAll;
+    cfg.link_episodes.push_back(chaos_drop(0.15, DropClass::kAll));
 
     const auto res = workload::run_experiment(cfg);
     SCOPED_TRACE(proto::system_name(sys));
     EXPECT_GT(res.committed, 0u);
-    EXPECT_GT(res.chaos.dropped, 0u) << "chaos must actually engage";
+    EXPECT_GT(res.link.dropped, 0u) << "chaos must actually engage";
     EXPECT_GT(res.reliable.retransmits, 0u) << "recovery must actually engage";
     for (const auto& v : res.violations) ADD_FAILURE() << v;
   }
@@ -591,26 +641,23 @@ TEST(ReliableEndToEnd, ChaosDropAnythingStillConvergesCheckerClean) {
 /// could never drop) survives targeted drops.
 TEST(ReliableEndToEnd, RequestClassDropsConverge) {
   auto cfg = reliable_cluster(72);
-  cfg.chaos.drop_p = 0.2;
-  cfg.chaos.drop_class = runtime::ChaosDropClass::kRequests;
+  cfg.link_episodes.push_back(chaos_drop(0.2, DropClass::kRequests));
 
   const auto res = workload::run_experiment(cfg);
   EXPECT_GT(res.committed, 0u);
-  EXPECT_GT(res.chaos.dropped, 0u);
+  EXPECT_GT(res.link.dropped, 0u);
   for (const auto& v : res.violations) ADD_FAILURE() << v;
 }
 
 /// End-to-end adaptive RTO: over a jittered WAN latency model with NO
 /// loss, a mistuned estimator (RTO under the real RTT) would retransmit
 /// everything; the converged one must stay (nearly) silent while still
-/// taking steady RTT samples. Rare 1 ms chaos stalls lose nothing but put a
-/// fault decorator below the layer, so every channel is framed.
+/// taking steady RTT samples, over rare_stalls().
 TEST(ReliableEndToEnd, AdaptiveRtoNoRetransmitStormAtSteadyState) {
   auto cfg = reliable_cluster(77);
   cfg.latency_model = runtime::LatencyModelKind::kJitter;
   cfg.uniform_inter_dc_us = 10'000;
-  cfg.chaos.reorder_p = 0.001;
-  cfg.chaos.reorder_stall_us = 1'000;
+  cfg.link_episodes.push_back(rare_stalls());
   cfg.reliable_cfg.adaptive_rto = true;
   cfg.reliable_cfg.rto_us = 200'000 * kTimeScale;  // pre-estimate: generous
   cfg.reliable_cfg.min_rto_us = 25'000 * kTimeScale;
@@ -642,22 +689,21 @@ workload::ExperimentConfig aws_matrix_cluster(std::uint64_t seed) {
   return cfg;
 }
 
-/// The framing rule: with no fault decorator below, every channel of a
-/// thread deployment is an in-process mailbox, lossless and FIFO, so the
-/// reliable layer frames nothing (no sequence numbers, no acks). The same
-/// run with a lossy decorator below frames every channel again and
-/// recovers the drops.
+/// The framing rule: with no link episode below (the AWS matrix delay
+/// alone), every channel of a thread deployment is an in-process mailbox,
+/// lossless and FIFO, so the reliable layer frames nothing (no sequence
+/// numbers, no acks). The same run with a lossy episode below frames every
+/// channel again and recovers the drops.
 TEST(ReliableFraming, FramesOnlyChannelsThatCanLoseAFrame) {
   for (const double drop_p : {0.0, 0.05}) {
     auto cfg = aws_matrix_cluster(81);
-    cfg.chaos.drop_p = drop_p;
-    cfg.chaos.drop_class = runtime::ChaosDropClass::kAll;
+    if (drop_p > 0) cfg.link_episodes.push_back(chaos_drop(drop_p, DropClass::kAll));
 
     const auto res = workload::run_experiment(cfg);
-    SCOPED_TRACE(drop_p > 0 ? "chaos drops below" : "no fault decorator");
+    SCOPED_TRACE(drop_p > 0 ? "chaos drops below" : "no link episode");
     EXPECT_GT(res.committed, 0u);
     if (drop_p > 0) {
-      EXPECT_GT(res.chaos.dropped, 0u) << "chaos must actually engage";
+      EXPECT_GT(res.link.dropped, 0u) << "chaos must actually engage";
       EXPECT_GT(res.reliable.frames_sent, 0u);
       EXPECT_GT(res.reliable.retransmits, 0u) << "recovery must actually engage";
     } else {
@@ -671,8 +717,8 @@ TEST(ReliableFraming, FramesOnlyChannelsThatCanLoseAFrame) {
 /// The RTO default: on the AWS matrix the PDX-DUB RTT (136 ms) exceeds the
 /// 100 ms fixed RTO. The default (adaptive) RTO must keep retransmissions
 /// under 1% of frames on these lossless links, while pinning the fixed RTO
-/// must retransmit more than 5% (so the bound can fail). Rare 1 ms chaos
-/// stalls lose nothing but frame every channel. The adaptive run still
+/// must retransmit more than 5% (so the bound can fail). rare_stalls()
+/// frames every channel. The adaptive run still
 /// pays one spurious round per PDX-DUB channel before its first sample
 /// (the 100 ms seed is below the RTT): about 450 frames, so the run is long
 /// enough that this start-up cost stays well under the bound.
@@ -681,8 +727,7 @@ TEST(ReliableEndToEnd, DefaultRtoDoesNotRetransmitBelowTheMeasuredRtt) {
     auto cfg = aws_matrix_cluster(83);
     cfg.warmup_us = 200'000 * kTimeScale;
     cfg.measure_us = 2'000'000 * kTimeScale;
-    cfg.chaos.reorder_p = 0.001;
-    cfg.chaos.reorder_stall_us = 1'000;
+    cfg.link_episodes.push_back(rare_stalls());
     if (pin_fixed) cfg.reliable_cfg.adaptive_rto = false;
 
     const auto res = workload::run_experiment(cfg);
@@ -703,12 +748,12 @@ TEST(ReliableEndToEnd, DefaultRtoDoesNotRetransmitBelowTheMeasuredRtt) {
 TEST(ReliableEndToEnd, PartitionHealsAndConvergesCheckerClean) {
   auto cfg = reliable_cluster(73);
   cfg.measure_us = 750'000 * kTimeScale;
-  cfg.partitions.windows.push_back(
-      PartitionWindow{0, 1, false, 150'000 * kTimeScale, 450'000 * kTimeScale});
+  cfg.link_episodes.push_back(
+      LinkEpisode::partition(0, 1, false, 150'000 * kTimeScale, 450'000 * kTimeScale));
 
   const auto res = workload::run_experiment(cfg);
   EXPECT_GT(res.committed, 0u);
-  EXPECT_GT(res.partition.dropped, 0u) << "the blackout must actually engage";
+  EXPECT_GT(res.link.dropped, 0u) << "the blackout must actually engage";
   EXPECT_GT(res.reliable.retransmits, 0u);
   for (const auto& v : res.violations) ADD_FAILURE() << v;
 }

@@ -1,8 +1,9 @@
 // Scenario-engine unit tests (DESIGN §13): generator determinism, corpus
-// codec exactness, time scaling, greedy shrinker fixpoint, and the WAN
-// decorator's statistical/ordering contracts (Gilbert–Elliott burstiness,
-// bandwidth-cap FIFO, directional shaping). No sockets here — this suite
-// binds no ports and runs fully in-process.
+// codec exactness, time scaling, greedy shrinker fixpoint, how a schedule
+// folds onto link episodes, and the WAN episodes' statistical/ordering
+// contracts (Gilbert–Elliott burstiness, bandwidth-pipe FIFO, directional
+// shaping). No sockets here — this suite binds no ports and runs fully
+// in-process.
 
 #include <gtest/gtest.h>
 
@@ -10,17 +11,16 @@
 #include <string>
 #include <vector>
 
+#include "runtime/link_transport.h"
 #include "runtime/thread_runtime.h"
-#include "runtime/wan_transport.h"
 #include "scenario/scenario.h"
 
 namespace paris::test {
 namespace {
 
+using runtime::LinkEpisode;
+using runtime::LinkTransport;
 using runtime::ThreadBackend;
-using runtime::WanConfig;
-using runtime::WanLinkEpisode;
-using runtime::WanTransport;
 using scenario::Scenario;
 using scenario::ScenarioEvent;
 using scenario::ScenarioOptions;
@@ -156,16 +156,13 @@ TEST(ScenarioScaleTime, StretchesWindowsAndLeavesRatesAlone) {
     ASSERT_EQ(a.kind, b.kind);
     switch (a.kind) {
       case ScenarioEvent::Kind::kPartition:
-        EXPECT_EQ(b.partition.start_us, a.partition.start_us * 5);
-        EXPECT_EQ(b.partition.end_us, a.partition.end_us * 5);
-        break;
       case ScenarioEvent::Kind::kWan:
-        EXPECT_EQ(b.wan.start_us, a.wan.start_us * 5);
-        EXPECT_EQ(b.wan.end_us, a.wan.end_us * 5);
+        EXPECT_EQ(b.link.start_us, a.link.start_us * 5);
+        EXPECT_EQ(b.link.end_us, a.link.end_us * 5);
         // Link character models the link, not the slowed execution.
-        EXPECT_EQ(b.wan.extra_delay_end_us, a.wan.extra_delay_end_us);
-        EXPECT_EQ(b.wan.bandwidth_bytes_per_us, a.wan.bandwidth_bytes_per_us);
-        EXPECT_EQ(b.wan.loss_bad, a.wan.loss_bad);
+        EXPECT_EQ(b.link.extra_delay_end_us, a.link.extra_delay_end_us);
+        EXPECT_EQ(b.link.bandwidth_bytes_per_us, a.link.bandwidth_bytes_per_us);
+        EXPECT_EQ(b.link.loss_bad, a.link.loss_bad);
         break;
       case ScenarioEvent::Kind::kKill:
         EXPECT_EQ(b.kill_after_ms, a.kill_after_ms * 5);
@@ -189,7 +186,7 @@ TEST(ScenarioShrinker, GreedyDropReachesAMinimalFixpoint) {
   for (int i = 0; i < 3; ++i) {
     ScenarioEvent e;
     e.kind = ScenarioEvent::Kind::kWan;
-    e.wan.start_us = 1000u * static_cast<std::uint64_t>(i + 1);
+    e.link.start_us = 1000u * static_cast<std::uint64_t>(i + 1);
     s.events.push_back(e);
   }
   ScenarioEvent part;
@@ -226,75 +223,69 @@ TEST(ScenarioShrinker, GreedyDropReachesAMinimalFixpoint) {
 }
 
 // ---------------------------------------------------------------------------
-// WAN decorator: Gilbert–Elliott chain statistics and determinism.
+// apply_scenario: every link fault becomes one episode.
 // ---------------------------------------------------------------------------
 
-WanLinkEpisode ge_episode(double pgb, double pbg) {
-  WanLinkEpisode e;
-  e.a = 0;
-  e.b = 1;
-  e.start_us = 0;
-  e.end_us = ~0ull;
-  e.p_good_bad = pgb;
-  e.p_bad_good = pbg;
-  e.loss_bad = 0.5;
-  return e;
-}
+TEST(ScenarioApply, FoldsLinkFaultsIntoEpisodes) {
+  Scenario s;
+  s.rto_us = 7'000;
+  ScenarioEvent part;
+  part.kind = ScenarioEvent::Kind::kPartition;
+  part.link = LinkEpisode::partition(2, 0, true, 100, 200);
+  ScenarioEvent wan;
+  wan.kind = ScenarioEvent::Kind::kWan;
+  wan.link.links = LinkEpisode::Links::kPair;
+  wan.link.bandwidth_bytes_per_us = 4;
+  ScenarioEvent c1, c2;
+  c1.kind = c2.kind = ScenarioEvent::Kind::kChaos;
+  c1.chaos_drop_p = 0.02;
+  c2.chaos_reorder_p = 0.03;
+  s.events = {part, c1, wan, c2};
 
-TEST(WanGilbertElliott, BurstinessMatchesChainParameters) {
-  ThreadBackend be(ThreadBackend::Options{2, 1});
-  WanConfig cfg;
-  cfg.seed = 42;
-  cfg.episodes.push_back(ge_episode(0.1, 0.5));
-  WanTransport wt(be.transport(), be.exec(), cfg);
+  workload::ExperimentConfig cfg;
+  scenario::apply_scenario(s, cfg);
+  // Partition and WAN events map one to one, in order; the chaos events
+  // fold into ONE whole-run, every-channel episode appended last.
+  ASSERT_EQ(cfg.link_episodes.size(), 3u);
+  const LinkEpisode& p = cfg.link_episodes[0];
+  EXPECT_EQ(p.links, LinkEpisode::Links::kIsolate);
+  EXPECT_EQ(p.loss_good, 1.0);
+  EXPECT_EQ(p.drop_class, runtime::DropClass::kAll);
+  EXPECT_EQ(cfg.link_episodes[1].bandwidth_bytes_per_us, 4u);
+  const LinkEpisode& chaos = cfg.link_episodes[2];
+  EXPECT_EQ(chaos.links, LinkEpisode::Links::kEvery);
+  EXPECT_EQ(chaos.loss_good, 0.02);
+  EXPECT_EQ(chaos.stall_p, 0.03);
+  EXPECT_EQ(chaos.stall_us, s.rto_us);
+  EXPECT_EQ(chaos.drop_class, runtime::DropClass::kAll);
 
-  const int kSlots = 5000;
-  int bad = 0, runs = 0, run_len_total = 0, cur = 0;
-  for (int i = 0; i < kSlots; ++i) {
-    if (wt.ge_bad(0, static_cast<std::uint64_t>(i) * WanTransport::kGeSlotUs)) {
-      ++bad;
-      ++cur;
-    } else if (cur > 0) {
-      ++runs;
-      run_len_total += cur;
-      cur = 0;
-    }
-  }
-  // Stationary bad fraction = pgb / (pgb + pbg) = 1/6; mean bad-run length
-  // = 1 / p_bad_good = 2 slots. Wide tolerances: 5000 slots of a chain with
-  // ~1.7-slot correlation time give a std error well under these bounds.
-  const double frac = static_cast<double>(bad) / kSlots;
-  EXPECT_NEAR(frac, 1.0 / 6.0, 0.05);
-  ASSERT_GT(runs, 0);
-  const double mean_run = static_cast<double>(run_len_total) / runs;
-  EXPECT_GT(mean_run, 1.4);
-  EXPECT_LT(mean_run, 2.8);
-  be.stop();
-}
+  // Isolation selects every inter-DC link of DC 2, never an intra-DC one.
+  EXPECT_TRUE(p.active(2, 1, 150));
+  EXPECT_TRUE(p.active(0, 2, 150));
+  EXPECT_FALSE(p.active(0, 1, 150));
+  EXPECT_FALSE(p.active(2, 2, 150));
+  EXPECT_FALSE(p.active(2, 1, 200));  // the heal deadline is exclusive
 
-TEST(WanGilbertElliott, ChainIsSeedDeterministicAcrossInstances) {
-  ThreadBackend be(ThreadBackend::Options{2, 1});
-  WanConfig cfg;
-  cfg.seed = 42;
-  cfg.episodes.push_back(ge_episode(0.2, 0.4));
-  WanTransport t1(be.transport(), be.exec(), cfg);
-  WanTransport t2(be.transport(), be.exec(), cfg);
-  WanConfig other = cfg;
-  other.seed = 43;
-  WanTransport t3(be.transport(), be.exec(), other);
-
-  bool any_diff = false;
-  for (int i = 0; i < 512; ++i) {
-    const std::uint64_t now = static_cast<std::uint64_t>(i) * WanTransport::kGeSlotUs;
-    EXPECT_EQ(t1.ge_bad(0, now), t2.ge_bad(0, now)) << "slot " << i;
-    any_diff |= t1.ge_bad(0, now) != t3.ge_bad(0, now);
-  }
-  EXPECT_TRUE(any_diff) << "different seed produced an identical 512-slot chain";
-  be.stop();
+  // Chaos events merge into a chaos episode already configured (paris_sim's
+  // --chaos-* knobs) by the max of each knob, never a second one on top.
+  workload::ExperimentConfig cli;
+  LinkEpisode knobs = LinkEpisode::chaos();
+  knobs.loss_good = 0.01;
+  knobs.stall_p = 0.05;
+  knobs.duplicate_p = 0.2;
+  cli.link_episodes.push_back(knobs);
+  scenario::apply_scenario(s, cli);
+  ASSERT_EQ(cli.link_episodes.size(), 3u);
+  const LinkEpisode& merged = cli.link_episodes[0];
+  EXPECT_EQ(merged.loss_good, 0.02);
+  EXPECT_EQ(merged.stall_p, 0.05);
+  EXPECT_EQ(merged.duplicate_p, 0.2);
+  EXPECT_EQ(merged.stall_us, s.rto_us);
+  EXPECT_EQ(merged.drop_class, runtime::DropClass::kAll);
 }
 
 // ---------------------------------------------------------------------------
-// WAN decorator: bandwidth FIFO and directional shaping (thread backend).
+// WAN episodes: Gilbert–Elliott chain statistics and determinism.
 // ---------------------------------------------------------------------------
 
 /// Records heartbeat payloads and arrival times on the backend clock.
@@ -319,25 +310,89 @@ wire::MessagePtr heartbeat(std::uint64_t t) {
   return hb;
 }
 
-TEST(WanBandwidth, CapSerializesTheLinkFifo) {
+/// An inter-DC episode on the directed link 0 -> 1, for the whole run.
+LinkEpisode link01() {
+  LinkEpisode e;
+  e.links = LinkEpisode::Links::kPair;
+  e.a = 0;
+  e.b = 1;
+  return e;
+}
+
+
+LinkEpisode ge_episode(double pgb, double pbg) {
+  LinkEpisode e = link01();
+  e.p_good_bad = pgb;
+  e.p_bad_good = pbg;
+  e.loss_bad = 0.5;
+  return e;
+}
+
+TEST(LinkGilbertElliott, BurstinessMatchesChainParameters) {
+  ThreadBackend be(ThreadBackend::Options{2, 1});
+  LinkTransport lt(be.transport(), be.exec(), std::nullopt, {ge_episode(0.1, 0.5)}, 42);
+
+  const int kSlots = 5000;
+  int bad = 0, runs = 0, run_len_total = 0, cur = 0;
+  for (int i = 0; i < kSlots; ++i) {
+    if (lt.ge_bad(0, static_cast<std::uint64_t>(i) * LinkTransport::kGeSlotUs)) {
+      ++bad;
+      ++cur;
+    } else if (cur > 0) {
+      ++runs;
+      run_len_total += cur;
+      cur = 0;
+    }
+  }
+  // Stationary bad fraction = pgb / (pgb + pbg) = 1/6; mean bad-run length
+  // = 1 / p_bad_good = 2 slots. Wide tolerances: 5000 slots of a chain with
+  // ~1.7-slot correlation time give a std error well under these bounds.
+  const double frac = static_cast<double>(bad) / kSlots;
+  EXPECT_NEAR(frac, 1.0 / 6.0, 0.05);
+  ASSERT_GT(runs, 0);
+  const double mean_run = static_cast<double>(run_len_total) / runs;
+  EXPECT_GT(mean_run, 1.4);
+  EXPECT_LT(mean_run, 2.8);
+  be.stop();
+}
+
+TEST(LinkGilbertElliott, ChainIsSeedDeterministicAcrossInstances) {
+  ThreadBackend be(ThreadBackend::Options{2, 1});
+  const std::vector<LinkEpisode> eps{ge_episode(0.2, 0.4)};
+  LinkTransport t1(be.transport(), be.exec(), std::nullopt, eps, 42);
+  LinkTransport t2(be.transport(), be.exec(), std::nullopt, eps, 42);
+  LinkTransport t3(be.transport(), be.exec(), std::nullopt, eps, 43);
+
+  bool any_diff = false;
+  for (int i = 0; i < 512; ++i) {
+    const std::uint64_t now = static_cast<std::uint64_t>(i) * LinkTransport::kGeSlotUs;
+    EXPECT_EQ(t1.ge_bad(0, now), t2.ge_bad(0, now)) << "slot " << i;
+    any_diff |= t1.ge_bad(0, now) != t3.ge_bad(0, now);
+  }
+  EXPECT_TRUE(any_diff) << "different seed produced an identical 512-slot chain";
+  be.stop();
+}
+
+// ---------------------------------------------------------------------------
+// WAN episodes: bandwidth FIFO and directional shaping (thread backend).
+// ---------------------------------------------------------------------------
+
+TEST(LinkBandwidth, CapSerializesTheLinkFifo) {
   ThreadBackend be(ThreadBackend::Options{2, 1});
   ArrivalActor a(be.exec()), b(be.exec());
   const NodeId na = be.add_node(&a, 0, nullptr);
   const NodeId nb = be.add_node(&b, 1, nullptr);
-  WanConfig cfg;
-  cfg.seed = 1;
-  WanLinkEpisode ep;
-  ep.a = 0;
-  ep.b = 1;
-  ep.start_us = 0;
-  ep.end_us = ~0ull;
+  LinkEpisode ep = link01();
   ep.bandwidth_bytes_per_us = 1;  // 1 MB/s: every heartbeat costs >= 2us
-  cfg.episodes.push_back(ep);
-  WanTransport wt(be.transport(), be.exec(), cfg);
+  LinkTransport lt(be.transport(), be.exec(), std::nullopt, {ep}, 1);
 
   const int kMsgs = 40;
+  // The whole burst enters at one send time, so it queues however slowly a
+  // sanitizer build issues the sends.
   const std::uint64_t sent_at = be.exec().now_us();
-  for (int i = 0; i < kMsgs; ++i) wt.send(na, nb, heartbeat(static_cast<std::uint64_t>(i)));
+  for (int i = 0; i < kMsgs; ++i) {
+    lt.send_at(na, nb, heartbeat(static_cast<std::uint64_t>(i)), sent_at);
+  }
   be.run_for(300'000);
   be.stop();
 
@@ -352,31 +407,24 @@ TEST(WanBandwidth, CapSerializesTheLinkFifo) {
   // the last departure is at least kMsgs * 2us after the burst went in
   // (scheduling can add lateness, never remove serialization delay).
   EXPECT_GE(b.at_us.back(), sent_at + static_cast<std::uint64_t>(kMsgs) * 2);
-  const WanTransport::Stats st = wt.stats();
+  const LinkTransport::Stats st = lt.stats();
   EXPECT_EQ(st.shaped, static_cast<std::uint64_t>(kMsgs));
   EXPECT_GT(st.bw_queued, 0u) << "a 40-message burst never waited behind the pipe";
 }
 
-TEST(WanAsymmetry, ShapesOnlyTheNamedDirection) {
+TEST(LinkAsymmetry, ShapesOnlyTheNamedDirection) {
   ThreadBackend be(ThreadBackend::Options{2, 1});
   ArrivalActor a(be.exec()), b(be.exec());
   const NodeId na = be.add_node(&a, 0, nullptr);
   const NodeId nb = be.add_node(&b, 1, nullptr);
-  WanConfig cfg;
-  cfg.seed = 1;
-  WanLinkEpisode ep;
-  ep.a = 0;
-  ep.b = 1;  // asymmetric: only 0 -> 1 is degraded
-  ep.start_us = 0;
-  ep.end_us = ~0ull;
+  LinkEpisode ep = link01();  // asymmetric: only 0 -> 1 is degraded
   ep.extra_delay_start_us = 50'000;
   ep.extra_delay_end_us = 50'000;
-  cfg.episodes.push_back(ep);
-  WanTransport wt(be.transport(), be.exec(), cfg);
+  LinkTransport lt(be.transport(), be.exec(), std::nullopt, {ep}, 1);
 
   const std::uint64_t sent_at = be.exec().now_us();
-  wt.send(na, nb, heartbeat(1));
-  wt.send(nb, na, heartbeat(2));
+  lt.send(na, nb, heartbeat(1));
+  lt.send(nb, na, heartbeat(2));
   be.run_for(200'000);
   be.stop();
 

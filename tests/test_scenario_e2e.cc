@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "scenario/scenario.h"
 #include "workload/experiment.h"
@@ -54,14 +55,23 @@ void run_generated(proto::System sys, std::uint64_t seed) {
   bool has_fuzz = false, has_wan_loss = false;
   for (const auto& e : s.events) {
     has_fuzz |= e.kind == ScenarioEvent::Kind::kFuzz;
-    has_wan_loss |= e.kind == ScenarioEvent::Kind::kWan && e.wan.has_loss();
+    has_wan_loss |= e.kind == ScenarioEvent::Kind::kWan && e.link.has_loss();
   }
   if (has_fuzz) {
     EXPECT_GT(res.fuzz.mutated, 0u) << "fuzz event scheduled but no frame mutated";
     EXPECT_EQ(res.fuzz.rejected_validate + res.fuzz.accepted_validate, res.fuzz.mutated);
   }
   if (has_wan_loss) {
-    EXPECT_GT(res.wan.shaped, 0u) << "lossy WAN episode scheduled but shaped nothing";
+    // The link counts sends shaped by ANY episode; rerun the schedule with
+    // its WAN events alone so no other fault can stand in for them.
+    Scenario wan_s = s;
+    std::erase_if(wan_s.events,
+                  [](const ScenarioEvent& e) { return e.kind != ScenarioEvent::Kind::kWan; });
+    workload::ExperimentConfig wan_only;
+    scenario::apply_scenario(wan_s, wan_only);
+    const workload::ExperimentResult wan_res = workload::run_experiment(wan_only);
+    for (const auto& v : wan_res.violations) ADD_FAILURE() << v;
+    EXPECT_GT(wan_res.link.shaped, 0u) << "lossy WAN episode scheduled but shaped nothing";
   }
   // Reliable delivery is always on under scenarios; anything the faults ate
   // must have been recovered, which shows up as retransmissions unless the
@@ -69,7 +79,7 @@ void run_generated(proto::System sys, std::uint64_t seed) {
   EXPECT_GT(res.reliable.frames_sent, 0u);
 }
 
-// Seed 2 is one of the pinned corpus seeds (partition + wan + fuzz on
+// Seed 2 is one of the pinned corpus seeds (partition + chaos + fuzz on
 // threads); running it freshly-generated here keeps the generator and the
 // committed corpus file honest about describing the same schedule.
 TEST(ScenarioE2e, GeneratedScheduleIsCheckerCleanParis) {
@@ -78,6 +88,12 @@ TEST(ScenarioE2e, GeneratedScheduleIsCheckerCleanParis) {
 
 TEST(ScenarioE2e, GeneratedScheduleIsCheckerCleanBpr) {
   run_generated(proto::System::kBpr, 2);
+}
+
+// Seed 3 (a partition and two WAN episodes, one with Gilbert–Elliott loss)
+// is the pinned threads seed that exercises the lossy-WAN check.
+TEST(ScenarioE2e, GeneratedWanScheduleIsCheckerCleanParis) {
+  run_generated(proto::System::kParis, 3);
 }
 
 // Direct channel-fuzzing run with deliberately hot rates: every mutant must

@@ -201,13 +201,11 @@ wire::MessagePtr numbered(std::uint64_t i) {
 /// DC == rank (nprocs 2). Node 0 lives on rank 0, node 1 on rank 1; both
 /// backends register both nodes in the same order.
 struct Half {
-  explicit Half(std::uint32_t rank, std::uint16_t base_port,
+  explicit Half(std::uint32_t rank, const std::vector<runtime::Endpoint>& hosts,
                 std::uint64_t outbound_budget = 4u << 20)
-      : be(SocketBackend::Options{rank, 2, runtime::loopback_host_list(2, base_port),
-                                  /*workers=*/1, /*seed=*/1,
+      : be(SocketBackend::Options{rank, 2, hosts, /*workers=*/1, /*seed=*/1,
                                   /*connect_timeout_ms=*/10'000, /*mesh_token=*/0,
-                                  /*epoch=*/0, runtime::SocketPump::kPoll,
-                                  outbound_budget}) {
+                                  /*epoch=*/0, outbound_budget}) {
     n0 = be.add_node(rank == 0 ? static_cast<runtime::Actor*>(&sink) : &null_, /*dc=*/0,
                      nullptr);
     n1 = be.add_node(rank == 1 ? static_cast<runtime::Actor*>(&sink) : &null_, /*dc=*/1,
@@ -220,7 +218,9 @@ struct Half {
 };
 
 TEST(SocketBackendPair, DeliversAcrossRealTcpInOrder) {
-  Half a(0, 7601), b(1, 7601);
+  const auto hosts = runtime::free_loopback_host_list(2);
+  ASSERT_EQ(hosts.size(), 2u) << "no free loopback ports";
+  Half a(0, hosts), b(1, hosts);
   // start() blocks until the mesh is up; run b's in a thread so both halves
   // can rendezvous.
   std::thread tb([&] { b.be.start(); });
@@ -253,9 +253,9 @@ TEST(SocketBackendPair, DeliversAcrossRealTcpInOrder) {
 /// Reliable endpoints over the socket pair: built like Half, but the sink
 /// actors are wrapped by a per-half ReliableTransport before registration.
 struct ReliableHalf {
-  explicit ReliableHalf(std::uint32_t rank, std::uint16_t base_port, ReliableConfig cfg)
-      : be(SocketBackend::Options{rank, 2, runtime::loopback_host_list(2, base_port),
-                                  /*workers=*/1, /*seed=*/1,
+  explicit ReliableHalf(std::uint32_t rank, const std::vector<runtime::Endpoint>& hosts,
+                        ReliableConfig cfg)
+      : be(SocketBackend::Options{rank, 2, hosts, /*workers=*/1, /*seed=*/1,
                                   /*connect_timeout_ms=*/10'000}),
         rt(be.transport(), be.exec(), cfg) {
     runtime::Actor* a0 = rank == 0 ? rt.wrap(&sink) : rt.wrap(&null_);
@@ -282,7 +282,9 @@ TEST(SocketBackendPair, ReliableRetransmitsAcrossReconnectExactlyOnce) {
   cfg.rto_us = 40'000;
   cfg.adaptive_rto = false;
   cfg.max_rto_us = 300'000;
-  ReliableHalf a(0, 7621, cfg), b(1, 7621, cfg);
+  const auto hosts = runtime::free_loopback_host_list(2);
+  ASSERT_EQ(hosts.size(), 2u) << "no free loopback ports";
+  ReliableHalf a(0, hosts, cfg), b(1, hosts, cfg);
 
   // Sends are paced by a timer on the owning worker — endpoint window
   // state must never be touched from a foreign thread once workers run.
@@ -408,7 +410,9 @@ TEST(SocketBackendPair, WakeFloodLosesNoWakeups) {
   // armed flag, rescan" sequence. A lost wakeup would strand the last
   // frame(s) in the ring until the next beacon; losing NONE of 3000 proves
   // the clear-before-scan ordering.
-  Half a(0, 7641), b(1, 7641);
+  const auto hosts = runtime::free_loopback_host_list(2);
+  ASSERT_EQ(hosts.size(), 2u) << "no free loopback ports";
+  Half a(0, hosts), b(1, hosts);
   std::thread tb([&] { b.be.start(); });
   a.be.start();
   tb.join();
@@ -441,7 +445,9 @@ TEST(SocketBackendPair, BackpressureBoundsOutboundAndConvergesAfterHeal) {
   // peer drains the ring and the parked queue in order — backpressure is
   // deferral, never loss.
   const std::uint64_t kBudget = 4096;
-  Half a(0, 7661, kBudget), b(1, 7661, kBudget);
+  const auto hosts = runtime::free_loopback_host_list(2);
+  ASSERT_EQ(hosts.size(), 2u) << "no free loopback ports";
+  Half a(0, hosts, kBudget), b(1, hosts, kBudget);
   std::thread tb([&] { b.be.start(); });
   a.be.start();
   tb.join();

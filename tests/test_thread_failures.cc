@@ -1,6 +1,6 @@
 // Fault-tolerance scenarios on the REAL thread runtime — the ports of
 // test_failures.cc's simulator scenarios that the ReliableTransport +
-// PartitionTransport stack makes possible. The simulator buffers traffic
+// LinkTransport stack makes possible. The simulator buffers traffic
 // across partitions (TCP connections surviving the outage); on threads a
 // blackout drops packets and the at-least-once layer must recover them, so
 // these tests exercise the full retransmission machinery end to end:
@@ -25,7 +25,7 @@ using proto::Client;
 using proto::Deployment;
 using proto::DeploymentConfig;
 using proto::System;
-using runtime::PartitionWindow;
+using runtime::LinkEpisode;
 using wire::Item;
 using wire::WriteKV;
 
@@ -153,7 +153,7 @@ TEST(ThreadFailures, IslandWriteConvergesAfterHeal) {
   auto cfg = threads_config(System::kParis, 3, 6, 2, /*seed=*/301);
   // Blackout 0 <-> 2 from construction (covers the write below) to 900ms —
   // long enough that setup + the put land inside it even under sanitizers.
-  cfg.partitions.windows.push_back(PartitionWindow{0, 2, false, 0, 900'000 * kTimeScale});
+  cfg.link_episodes.push_back(LinkEpisode::partition(0, 2, false, 0, 900'000 * kTimeScale));
   verify::HistoryRecorder history;
   Deployment dep(cfg, &history);
   dep.start();
@@ -192,7 +192,7 @@ TEST(ThreadFailures, IslandWriteConvergesAfterHeal) {
   const auto* v = dep.server(0, p).kvstore().latest(k);
   ASSERT_NE(v, nullptr) << "replication must resume after heal";
   EXPECT_EQ(v->v, "island-write");
-  EXPECT_GT(dep.partition_transport()->stats().dropped, 0u);
+  EXPECT_GT(dep.link_transport()->stats().dropped, 0u);
   EXPECT_GT(dep.reliable_transport()->stats().retransmits, 0u);
   for (const auto& viol : history.check()) ADD_FAILURE() << viol;
 }
@@ -202,7 +202,8 @@ TEST(ThreadFailures, LocalTxsFlowWhileRemoteDcIsolated) {
   // partitions keeps committing promptly (PaRiS local ops stay available,
   // §III-C), while the blackout is active.
   auto cfg = threads_config(System::kParis, 3, 6, 2, /*seed=*/303);
-  cfg.partitions.windows.push_back(PartitionWindow{2, 0, true, 0, 1'500'000 * kTimeScale});
+  cfg.link_episodes.push_back(
+      LinkEpisode::partition(2, 0, true, 0, 1'500'000 * kTimeScale));
   Deployment dep(cfg);
   dep.start();
   const auto& topo = dep.topo();
@@ -219,7 +220,7 @@ TEST(ThreadFailures, LocalTxsFlowWhileRemoteDcIsolated) {
     sc.commit(1'000 * kTimeScale);
   }
   dep.stop();
-  EXPECT_GT(dep.partition_transport()->stats().dropped, 0u)
+  EXPECT_GT(dep.link_transport()->stats().dropped, 0u)
       << "the isolation must actually have been active (heartbeats eaten)";
 }
 
@@ -231,7 +232,8 @@ TEST(ThreadFailures, RemoteReadStallsUntilHealThenCompletes) {
   auto cfg = threads_config(System::kParis, 3, 3, 1, /*seed=*/307);
   // Long blackout: sanitizer builds slow setup down, and the mid-blackout
   // assertion below must still land well inside the window.
-  cfg.partitions.windows.push_back(PartitionWindow{0, 1, false, 0, 1'200'000 * kTimeScale});
+  cfg.link_episodes.push_back(
+      LinkEpisode::partition(0, 1, false, 0, 1'200'000 * kTimeScale));
   Deployment dep(cfg);
   dep.start();
   const auto& topo = dep.topo();
@@ -289,16 +291,16 @@ TEST(ThreadFailures, ConsistencyHoldsAcrossPartitionHealCycles) {
     cfg.reliable_cfg.rto_us = 10'000 * kTimeScale;
     cfg.reliable_cfg.adaptive_rto = false;
     cfg.reliable_cfg.max_rto_us = 40'000 * kTimeScale;
-    cfg.partitions.windows.push_back(
-        PartitionWindow{0, 1, false, 150'000 * kTimeScale, 350'000 * kTimeScale});
-    cfg.partitions.windows.push_back(
-        PartitionWindow{0, 2, false, 550'000 * kTimeScale, 750'000 * kTimeScale});
+    cfg.link_episodes.push_back(
+        LinkEpisode::partition(0, 1, false, 150'000 * kTimeScale, 350'000 * kTimeScale));
+    cfg.link_episodes.push_back(
+        LinkEpisode::partition(0, 2, false, 550'000 * kTimeScale, 750'000 * kTimeScale));
     cfg.seed = 311;
 
     const auto res = workload::run_experiment(cfg);
     SCOPED_TRACE(proto::system_name(sys));
     EXPECT_GT(res.committed, 0u);
-    EXPECT_GT(res.partition.dropped, 0u);
+    EXPECT_GT(res.link.dropped, 0u);
     EXPECT_GT(res.reliable.retransmits, 0u);
     for (const auto& v : res.violations) ADD_FAILURE() << v;
   }

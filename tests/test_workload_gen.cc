@@ -214,7 +214,7 @@ TEST(Trace, RejectsUnsortedAndJunk) {
 // over TCP — regardless of scheduling, timing or process boundaries.
 // ---------------------------------------------------------------------------
 
-ExperimentConfig digest_config(runtime::Kind rt, std::uint16_t base_port) {
+ExperimentConfig digest_config(runtime::Kind rt) {
   ExperimentConfig cfg;
   cfg.runtime = rt;
   cfg.num_dcs = 3;
@@ -233,15 +233,15 @@ ExperimentConfig digest_config(runtime::Kind rt, std::uint16_t base_port) {
   cfg.check_consistency = true;
   if (rt == runtime::Kind::kSockets) {
     cfg.socket.processes = 3;
-    cfg.socket.base_port = base_port;
+    cfg.socket.hosts = runtime::free_loopback_host_list(3);
   }
   return cfg;
 }
 
 TEST(OpenLoopDigest, IdenticalAcrossSimThreadsAndSocketProcesses) {
-  const auto sim = run_experiment(digest_config(runtime::Kind::kSim, 0));
-  const auto thr = run_experiment(digest_config(runtime::Kind::kThreads, 0));
-  const auto sock = run_experiment(digest_config(runtime::Kind::kSockets, 7880));
+  const auto sim = run_experiment(digest_config(runtime::Kind::kSim));
+  const auto thr = run_experiment(digest_config(runtime::Kind::kThreads));
+  const auto sock = run_experiment(digest_config(runtime::Kind::kSockets));
 
   EXPECT_NE(sim.workload_digest, 0u);
   EXPECT_EQ(sim.workload_digest, thr.workload_digest);
@@ -255,7 +255,7 @@ TEST(OpenLoopDigest, IdenticalAcrossSimThreadsAndSocketProcesses) {
   }
 
   // A different seed must change the schedule.
-  auto reseeded = digest_config(runtime::Kind::kSim, 0);
+  auto reseeded = digest_config(runtime::Kind::kSim);
   reseeded.seed = 424243;
   EXPECT_NE(run_experiment(reseeded).workload_digest, sim.workload_digest);
 }

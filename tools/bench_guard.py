@@ -26,7 +26,7 @@ BENCH_realtime_socket.json) are guarded too:
   * throughput rows carry "goodput_tx_s" instead of "ops_per_sec"; the same
     floor applies.
   * rows with a nonzero "retransmits_per_drop" (the SACK-efficiency
-    headline: retransmissions per chaos-dropped frame) are guarded
+    headline: retransmissions per frame the link dropped) are guarded
     UPWARD — current must stay under baseline * (1 + --retx-tolerance).
     A SACK regression back to go-back-N multiplies this metric, which a
     throughput check alone would miss on a latency-bound run.
@@ -45,13 +45,10 @@ BENCH_realtime_socket.json) are guarded too:
     for) are guarded DOWNWARD like a throughput floor — an engine that
     silently falls behind its own schedule fails even when raw goodput
     still looks plausible. The metric vanishing also fails.
-  * baseline rows marked "optional": true (e.g. sockets_uring, which only
-    exists on kernels with io_uring) may be missing from the current run —
-    skipped with a notice instead of failing.
   * a comparison that compares nothing fails: a baseline with zero rows
     (e.g. a "points" document such as BENCH_realtime.json, which this
     guard cannot read) exits 2, and a run in which no baseline row was
-    compared (every row optional and absent) exits 1. A guard that checks
+    compared exits 1. A guard that checks
     nothing must never print OK.
 
 Self-check mode: `bench_guard.py --json-schema FILE...` validates committed
@@ -162,9 +159,6 @@ def main():
     for name, b in sorted(base.items()):
         c = cur.get(name)
         if c is None:
-            if b.get("optional"):
-                print(f"  {name:<34} (optional row absent from current run; skipped)")
-                continue
             failures.append(f"{name}: missing from current run")
             continue
         compared += 1

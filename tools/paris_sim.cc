@@ -74,20 +74,10 @@ namespace {
       "  --kill-rank=R:MS        sockets: SIGKILL rank R once MS ms of the\n"
       "                          supervised run have elapsed (fault schedule;\n"
       "                          requires --supervise)\n"
-      "  --socket-pump=poll|uring\n"
-      "                          sockets: I/O engine for the per-process pump\n"
-      "                          thread. uring probes io_uring at startup and\n"
-      "                          falls back to poll with a notice if the\n"
-      "                          kernel lacks it (default poll)\n"
       "  --socket-outbound-kb=K  sockets: per-peer outbound ring budget in\n"
       "                          KiB; a full ring backpressures senders\n"
       "                          (parked envelopes, not loss). 0 = unbounded\n"
       "                          (default 4096)\n"
-      "  --socket-unbatched      sockets: one frame per write syscall + 4KB\n"
-      "                          reads (the pre-batching I/O pattern, kept\n"
-      "                          for A/B measurement)\n"
-      "  --probe-io-uring        print whether io_uring is usable on this\n"
-      "                          kernel and exit (0 = yes, 3 = no)\n"
       "  --latency-model=none|matrix|jitter\n"
       "                          threads/sockets: inject per-DC-pair WAN\n"
       "                          delay (matrix), plus jitter (default none;\n"
@@ -95,11 +85,11 @@ namespace {
       "  --reliable              threads/sockets: at-least-once delivery —\n"
       "                          messages are sequenced, retransmitted on\n"
       "                          timeout and deduplicated at the receiver,\n"
-      "                          so chaos drops/partitions of ANY class\n"
-      "                          still converge (exactly-once at the actor).\n"
-      "                          Only channels that can lose a frame are\n"
-      "                          framed: all of them under a fault\n"
-      "                          decorator, else those between processes\n"
+      "                          so link loss (chaos drops, partitions) of\n"
+      "                          ANY class still converges (exactly-once at\n"
+      "                          the actor). Only channels that can lose a\n"
+      "                          frame are framed: all of them under a link\n"
+      "                          episode, else those between processes\n"
       "  --reliable-rto-ms=R|auto\n"
       "                          'auto' (default): per-channel Jacobson/\n"
       "                          Karels RTT estimation (srtt + 4*rttvar,\n"
@@ -221,6 +211,39 @@ bool parse_flag(const char* arg, const char* name, const char** value) {
   return false;
 }
 
+/// One header line per link episode: its links, window and effects.
+void print_link_episode(const runtime::LinkEpisode& e) {
+  using Links = runtime::LinkEpisode::Links;
+  std::printf("link: ");
+  if (e.links == Links::kEvery) {
+    std::printf("every channel");
+  } else if (e.links == Links::kIsolate) {
+    std::printf("DC %u isolated", e.a);
+  } else {
+    std::printf("DC %u %s DC %u", e.a, e.symmetric ? "<->" : "->", e.b);
+  }
+  if (e.end_us != ~0ull) {
+    std::printf(" %llu..%llu ms", static_cast<unsigned long long>(e.start_us / 1000),
+                static_cast<unsigned long long>(e.end_us / 1000));
+  }
+  if (e.has_loss()) {
+    std::printf(" loss=%s:%.2f", runtime::drop_class_name(e.drop_class), e.loss_good);
+    if (e.p_good_bad > 0) std::printf("/%.2f (burst)", e.loss_bad);
+  }
+  if (e.duplicate_p > 0) std::printf(" duplicate=%.2f", e.duplicate_p);
+  if (e.stall_p > 0) {
+    std::printf(" stall=%.2f (%llu ms)", e.stall_p,
+                static_cast<unsigned long long>(e.stall_us / 1000));
+  }
+  if (e.bandwidth_bytes_per_us > 0) std::printf(" bandwidth=%u B/us", e.bandwidth_bytes_per_us);
+  if (e.extra_delay_start_us != 0 || e.extra_delay_end_us != 0) {
+    std::printf(" ramp=%llu..%llu ms",
+                static_cast<unsigned long long>(e.extra_delay_start_us / 1000),
+                static_cast<unsigned long long>(e.extra_delay_end_us / 1000));
+  }
+  std::printf("\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -233,10 +256,8 @@ int main(int argc, char** argv) {
   bool sessions_set = false;
   bool profile_set = false;
   bool sack_flag_set = false;
-  bool socket_pump_set = false;
   bool socket_budget_set = false;
-  bool socket_batch_set = false;
-  bool probe_uring = false;
+  runtime::LinkEpisode chaos = runtime::LinkEpisode::chaos();
   bool scenario_seed_set = false;
   std::uint64_t scenario_seed = 0;
   std::string scenario_file;
@@ -313,16 +334,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --kill-rank rank must be >= 0, got '%s'\n", v);
         return 2;
       }
-    } else if (parse_flag(argv[i], "--socket-pump", &v) && v) {
-      if (std::string(v) == "poll") {
-        cfg.socket.pump = runtime::SocketPump::kPoll;
-      } else if (std::string(v) == "uring") {
-        cfg.socket.pump = runtime::SocketPump::kUring;
-      } else {
-        std::fprintf(stderr, "error: --socket-pump takes poll|uring, got '%s'\n", v);
-        return 2;
-      }
-      socket_pump_set = true;
     } else if (parse_flag(argv[i], "--socket-outbound-kb", &v) && v) {
       const long long kb = std::atoll(v);
       if (kb < 0) {
@@ -331,11 +342,6 @@ int main(int argc, char** argv) {
       }
       cfg.socket.outbound_budget = static_cast<std::uint64_t>(kb) * 1024;
       socket_budget_set = true;
-    } else if (parse_flag(argv[i], "--socket-unbatched", &v)) {
-      cfg.socket.batch_io = false;
-      socket_batch_set = true;
-    } else if (parse_flag(argv[i], "--probe-io-uring", &v)) {
-      probe_uring = true;
     } else if (parse_flag(argv[i], "--latency-model", &v) && v) {
       if (std::string(v) == "none") {
         cfg.latency_model = runtime::LatencyModelKind::kNone;
@@ -383,34 +389,18 @@ int main(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--scenario-print", &v)) {
       scenario_print = true;
     } else if (parse_flag(argv[i], "--partition-spec", &v) && v) {
-      if (!runtime::parse_partition_spec(v, cfg.partitions)) {
+      if (!runtime::parse_partition_spec(v, cfg.link_episodes)) {
         std::fprintf(stderr, "error: malformed --partition-spec '%s'\n", v);
         return 2;
       }
-    } else if (parse_flag(argv[i], "--chaos-reorder", &v) && v) {
-      cfg.chaos.reorder_p = std::atof(v);
-    } else if (parse_flag(argv[i], "--chaos-stall-ms", &v) && v) {
-      cfg.chaos.reorder_stall_us = static_cast<std::uint64_t>(std::atoll(v)) * 1000;
-    } else if (parse_flag(argv[i], "--chaos-duplicate", &v) && v) {
-      cfg.chaos.duplicate_p = std::atof(v);
-    } else if (parse_flag(argv[i], "--chaos-drop", &v) && v) {
-      // [CLASS:]P — e.g. "0.1", "replication:0.1", "all:0.05".
-      std::string spec(v);
-      if (const auto colon = spec.find(':'); colon != std::string::npos) {
-        const std::string cls = spec.substr(0, colon);
-        if (cls == "replication") {
-          cfg.chaos.drop_class = runtime::ChaosDropClass::kReplication;
-        } else if (cls == "requests") {
-          cfg.chaos.drop_class = runtime::ChaosDropClass::kRequests;
-        } else if (cls == "all") {
-          cfg.chaos.drop_class = runtime::ChaosDropClass::kAll;
-        } else {
-          std::fprintf(stderr, "error: unknown --chaos-drop class '%s'\n", cls.c_str());
-          return 2;
-        }
-        spec = spec.substr(colon + 1);
+    } else if (std::strncmp(argv[i], "--chaos-", 8) == 0 && std::strchr(argv[i], '=')) {
+      // --chaos-KNOB=VALUE: one knob of the whole-run chaos episode.
+      const std::string arg(argv[i]);
+      const std::size_t eq = arg.find('=');
+      if (!runtime::parse_chaos_knob(arg.substr(8, eq - 8), arg.substr(eq + 1), chaos)) {
+        std::fprintf(stderr, "error: malformed %s\n", argv[i]);
+        return 2;
       }
-      cfg.chaos.drop_p = std::atof(spec.c_str());
     } else if (parse_flag(argv[i], "--dcs", &v) && v) {
       cfg.num_dcs = static_cast<std::uint32_t>(std::atoi(v));
     } else if (parse_flag(argv[i], "--partitions", &v) && v) {
@@ -497,15 +487,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (probe_uring) {
-    std::string why;
-    if (runtime::SocketBackend::probe_io_uring(&why)) {
-      std::printf("io_uring: available\n");
-      return 0;
-    }
-    std::printf("io_uring: unavailable (%s)\n", why.c_str());
-    return 3;
-  }
+  if (!chaos.inert()) cfg.link_episodes.push_back(chaos);
 
   // Scenario resolution: generate from seed (cell picked by --system/
   // --runtime) or decode a corpus file (which pins both), then fold the
@@ -557,8 +539,8 @@ int main(int argc, char** argv) {
   }
 
   if (cfg.runtime == runtime::Kind::kSim &&
-      (cfg.latency_model != runtime::LatencyModelKind::kNone || cfg.chaos.enabled() ||
-       cfg.reliable || cfg.partitions.enabled())) {
+      (cfg.latency_model != runtime::LatencyModelKind::kNone || !cfg.link_episodes.empty() ||
+       cfg.reliable)) {
     std::fprintf(stderr,
                  "error: --latency-model/--chaos-*/--reliable/--partition-spec require "
                  "--runtime=threads or sockets (the simulator models the network "
@@ -573,12 +555,10 @@ int main(int argc, char** argv) {
   }
   if (cfg.runtime != runtime::Kind::kSockets &&
       (cfg.socket.processes != 0 || !cfg.socket.dir.empty() || cfg.socket.supervise ||
-       cfg.socket.kill_rank >= 0 || socket_pump_set || socket_budget_set ||
-       socket_batch_set)) {
+       cfg.socket.kill_rank >= 0 || socket_budget_set)) {
     std::fprintf(stderr,
                  "error: --processes/--socket-dir/--supervise/--kill-rank/"
-                 "--socket-pump/--socket-outbound-kb/--socket-unbatched require "
-                 "--runtime=sockets\n");
+                 "--socket-outbound-kb require --runtime=sockets\n");
     return 2;
   }
   if (cfg.socket.kill_rank >= 0 && !cfg.socket.supervise) {
@@ -642,17 +622,14 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!cfg.reliable && cfg.chaos.drop_p > 0 &&
-      cfg.chaos.drop_class != runtime::ChaosDropClass::kReplication) {
-    std::fprintf(stderr,
-                 "warning: --chaos-drop=%s without --reliable will wedge request/"
-                 "response traffic (transactions stall instead of converging)\n",
-                 runtime::chaos_drop_class_name(cfg.chaos.drop_class));
-  }
-  if (!cfg.reliable && cfg.partitions.enabled()) {
-    std::fprintf(stderr,
-                 "warning: --partition-spec without --reliable loses every message "
-                 "crossing a blackout (no retransmission after heal)\n");
+  for (const auto& e : cfg.link_episodes) {
+    if (!cfg.reliable && e.has_loss() && e.drop_class != runtime::DropClass::kReplication) {
+      std::fprintf(stderr,
+                   "warning: link loss of class '%s' without --reliable is never "
+                   "retransmitted (transactions stall instead of converging)\n",
+                   runtime::drop_class_name(e.drop_class));
+      break;
+    }
   }
   if (!cfg.openloop.trace_path.empty() && profile_set) {
     std::fprintf(stderr,
@@ -719,12 +696,10 @@ int main(int argc, char** argv) {
               : cfg.socket.hosts;
       std::printf(
           "runtime: sockets, %u processes on %s (hw concurrency %u), "
-          "latency model %s, pump %s%s, outbound budget %llu KiB\n",
+          "latency model %s, outbound budget %llu KiB\n",
           nprocs, runtime::format_host_list(hosts).c_str(),
           std::thread::hardware_concurrency(),
           runtime::latency_model_name(cfg.latency_model),
-          runtime::socket_pump_name(cfg.socket.pump),
-          cfg.socket.batch_io ? "" : " (unbatched)",
           static_cast<unsigned long long>(cfg.socket.outbound_budget / 1024));
       if (cfg.socket.supervise) {
         std::printf("supervise: respawn budget %u", cfg.socket.max_respawns);
@@ -740,13 +715,7 @@ int main(int argc, char** argv) {
                   ev.join ? "joins" : "leaves",
                   static_cast<unsigned long long>(ev.at_ms));
     }
-    if (cfg.chaos.enabled()) {
-      std::printf("chaos: reorder=%.2f (stall %llu ms) duplicate=%.2f drop=%s:%.2f\n",
-                  cfg.chaos.reorder_p,
-                  static_cast<unsigned long long>(cfg.chaos.reorder_stall_us / 1000),
-                  cfg.chaos.duplicate_p,
-                  runtime::chaos_drop_class_name(cfg.chaos.drop_class), cfg.chaos.drop_p);
-    }
+    for (const auto& e : cfg.link_episodes) print_link_episode(e);
     if (cfg.reliable) {
       if (cfg.reliable_cfg.adaptive_rto) {
         std::printf("reliable: at-least-once, rto auto (Jacobson/Karels), sack %s\n",
@@ -755,17 +724,6 @@ int main(int argc, char** argv) {
         std::printf("reliable: at-least-once, rto %llu ms, sack %s\n",
                     static_cast<unsigned long long>(cfg.reliable_cfg.rto_us / 1000),
                     cfg.reliable_cfg.sack ? "on" : "off");
-      }
-    }
-    for (const auto& w : cfg.partitions.windows) {
-      if (w.isolate_all) {
-        std::printf("partition: DC %u isolated %llu..%llu ms\n", w.a,
-                    static_cast<unsigned long long>(w.start_us / 1000),
-                    static_cast<unsigned long long>(w.end_us / 1000));
-      } else {
-        std::printf("partition: DC %u <-> DC %u cut %llu..%llu ms\n", w.a, w.b,
-                    static_cast<unsigned long long>(w.start_us / 1000),
-                    static_cast<unsigned long long>(w.end_us / 1000));
       }
     }
   }
@@ -842,24 +800,15 @@ int main(int argc, char** argv) {
     std::printf("visibility p99  %10.2f ms\n",
                 res.visibility_hist.percentile(0.99) / 1000.0);
   }
-  if (res.chaos.stalled + res.chaos.duplicated + res.chaos.dropped > 0) {
-    std::printf("chaos injected  %10s stalls, %s duplicates, %s drops\n",
-                stats::with_commas(res.chaos.stalled).c_str(),
-                stats::with_commas(res.chaos.duplicated).c_str(),
-                stats::with_commas(res.chaos.dropped).c_str());
-  }
-  if (res.partition.dropped > 0) {
-    std::printf("partition drops %10s messages eaten by blackouts\n",
-                stats::with_commas(res.partition.dropped).c_str());
-  }
-  if (res.wan.shaped > 0) {
-    std::printf("wan shaping     %10s shaped, %s burst-dropped, %s duplicated, "
+  if (res.link.shaped > 0) {
+    std::printf("link episodes   %10s shaped, %s dropped, %s duplicated, %s stalled, "
                 "%s queued behind pipes (%s ms total wait)\n",
-                stats::with_commas(res.wan.shaped).c_str(),
-                stats::with_commas(res.wan.ge_dropped).c_str(),
-                stats::with_commas(res.wan.duplicated).c_str(),
-                stats::with_commas(res.wan.bw_queued).c_str(),
-                stats::with_commas(res.wan.bw_wait_us / 1000).c_str());
+                stats::with_commas(res.link.shaped).c_str(),
+                stats::with_commas(res.link.dropped).c_str(),
+                stats::with_commas(res.link.duplicated).c_str(),
+                stats::with_commas(res.link.stalled).c_str(),
+                stats::with_commas(res.link.bw_queued).c_str(),
+                stats::with_commas(res.link.bw_wait_us / 1000).c_str());
   }
   if (res.fuzz.mutated + res.fuzz.replays > 0) {
     std::printf("frame fuzzing   %10s mutated (%s rejected / %s parsed-then-"
@@ -889,7 +838,7 @@ int main(int argc, char** argv) {
                 stats::with_commas(res.socket.short_writes).c_str(),
                 stats::with_commas(res.socket.reconnects).c_str());
     std::printf("socket io       %10s syscalls (%.2f/frame, %s bytes/syscall), "
-                "%s flushes, %s backpressure stalls%s%s\n",
+                "%s flushes, %s backpressure stalls%s\n",
                 stats::with_commas(res.socket.read_syscalls +
                                    res.socket.write_syscalls).c_str(),
                 res.socket.syscalls_per_frame(),
@@ -897,8 +846,7 @@ int main(int argc, char** argv) {
                     static_cast<std::uint64_t>(res.socket.bytes_per_syscall())).c_str(),
                 stats::with_commas(res.socket.flushes).c_str(),
                 stats::with_commas(res.socket.backpressure_stalls).c_str(),
-                res.socket.backpressure_drops != 0 ? " (some shed)" : "",
-                res.socket.uring_fallback != 0 ? ", uring->poll fallback" : "");
+                res.socket.backpressure_drops != 0 ? " (some shed)" : "");
     if (cfg.socket.supervise) {
       std::printf("self-healing    %10s respawns, %s snapshots / %s catchups served, "
                   "%s prepared fenced, %s stale-epoch fenced, %s redials\n",

@@ -130,21 +130,21 @@ RunOutcome run_scenario(const scenario::Scenario& s, const RunnerOptions& opt,
 
 void print_outcome(const scenario::Scenario& s, const RunOutcome& o) {
   const auto& r = o.res;
-  std::printf("  %s: %s committed=%llu retx=%llu wan[shaped=%llu ge_drop=%llu "
-              "bw_q=%llu dup=%llu] fuzz[mut=%llu rej=%llu acc=%llu replay=%llu] "
-              "partition_drop=%llu respawns=%llu\n",
+  std::printf("  %s: %s committed=%llu retx=%llu link[shaped=%llu drop=%llu "
+              "bw_q=%llu dup=%llu stall=%llu] fuzz[mut=%llu rej=%llu acc=%llu replay=%llu] "
+              "respawns=%llu\n",
               scenario::describe(s).c_str(), o.clean ? "OK" : "VIOLATION",
               static_cast<unsigned long long>(r.committed),
               static_cast<unsigned long long>(r.reliable.retransmits),
-              static_cast<unsigned long long>(r.wan.shaped),
-              static_cast<unsigned long long>(r.wan.ge_dropped),
-              static_cast<unsigned long long>(r.wan.bw_queued),
-              static_cast<unsigned long long>(r.wan.duplicated),
+              static_cast<unsigned long long>(r.link.shaped),
+              static_cast<unsigned long long>(r.link.dropped),
+              static_cast<unsigned long long>(r.link.bw_queued),
+              static_cast<unsigned long long>(r.link.duplicated),
+              static_cast<unsigned long long>(r.link.stalled),
               static_cast<unsigned long long>(r.fuzz.mutated),
               static_cast<unsigned long long>(r.fuzz.rejected_validate),
               static_cast<unsigned long long>(r.fuzz.accepted_validate),
               static_cast<unsigned long long>(r.fuzz.replays),
-              static_cast<unsigned long long>(r.partition.dropped),
               static_cast<unsigned long long>(r.respawns));
   std::fflush(stdout);
 }
