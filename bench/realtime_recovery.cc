@@ -45,7 +45,6 @@ ExperimentConfig recovery_config(bool kill) {
   cfg.system = System::kParis;
   cfg.runtime = runtime::Kind::kSockets;
   cfg.socket.processes = 3;
-  cfg.socket.base_port = kill ? 7471 : 7461;
   cfg.socket.supervise = true;
   cfg.socket.max_respawns = 2;
   cfg.num_dcs = 3;

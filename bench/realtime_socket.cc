@@ -54,7 +54,6 @@ ExperimentConfig socket_config(bool sockets) {
   cfg.runtime = sockets ? runtime::Kind::kSockets : runtime::Kind::kThreads;
   cfg.worker_threads = sockets ? 2 : 6;  // 3 children x 2 = the threads run's 6
   cfg.socket.processes = 3;
-  cfg.socket.base_port = 7451;
   cfg.num_dcs = 3;
   cfg.num_partitions = 6;
   cfg.replication = 2;

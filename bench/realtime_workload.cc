@@ -39,8 +39,6 @@ using namespace paris::bench;
 
 namespace {
 
-constexpr std::uint16_t kBasePort = 7481;
-
 ExperimentConfig openloop_config(runtime::Kind kind) {
   ExperimentConfig cfg;
   cfg.system = System::kParis;
@@ -49,10 +47,7 @@ ExperimentConfig openloop_config(runtime::Kind kind) {
   cfg.num_partitions = 6;
   cfg.replication = 2;
   cfg.threads_per_process = 4;
-  if (kind == runtime::Kind::kSockets) {
-    cfg.socket.processes = 3;
-    cfg.socket.base_port = kBasePort;
-  }
+  if (kind == runtime::Kind::kSockets) cfg.socket.processes = 3;
   cfg.workload.key_dist = workload::KeyDistKind::kZipfRejection;
   cfg.workload.zipf_theta = 0.99;
   cfg.workload.keys_per_partition = 1000;

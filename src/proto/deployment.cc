@@ -31,14 +31,13 @@ struct JoinGate {
   std::function<void()> resume;
 };
 
-/// The socket host list every layer derives endpoints from: the configured
-/// --hosts list verbatim, or the back-compat loopback expansion of the
-/// deprecated base-port scheme (the ONLY sanctioned port-arithmetic site).
-std::vector<runtime::Endpoint> resolve_hosts(const DeploymentConfig& cfg) {
-  const std::uint32_t nprocs = cfg.socket.resolve_processes(cfg.topo.num_dcs);
-  return cfg.socket.hosts.empty()
-             ? runtime::loopback_host_list(nprocs, cfg.socket.base_port)
-             : cfg.socket.hosts;
+/// The socket host list every layer derives endpoints from. The launcher
+/// fills an empty list before it writes the child config, so a child
+/// deployment without one is a wiring error.
+const std::vector<runtime::Endpoint>& resolve_hosts(const DeploymentConfig& cfg) {
+  PARIS_CHECK_MSG(!cfg.socket.hosts.empty(),
+                  "socket deployment without a host list (the launcher fills it)");
+  return cfg.socket.hosts;
 }
 
 std::unique_ptr<cluster::Membership> build_membership(const DeploymentConfig& cfg,
@@ -49,7 +48,7 @@ std::unique_ptr<cluster::Membership> build_membership(const DeploymentConfig& cf
       sockets ? cfg.socket.resolve_processes(cfg.topo.num_dcs) : 0;
   std::vector<cluster::Member> members;
   if (sockets) {
-    const auto hosts = resolve_hosts(cfg);
+    const auto& hosts = resolve_hosts(cfg);
     for (std::uint32_t r = 0; r < hosts.size(); ++r)
       members.push_back({r, hosts[r], static_cast<std::uint32_t>(cfg.socket.epoch)});
   }
@@ -146,10 +145,8 @@ std::unique_ptr<runtime::FuzzTransport> build_fuzz_tp(const DeploymentConfig& cf
                                                       runtime::Backend& be,
                                                       runtime::Transport* below) {
   if (cfg.runtime == runtime::Kind::kSim || !cfg.fuzz.enabled()) return nullptr;
-  runtime::FuzzConfig fuzz = cfg.fuzz;
-  if (fuzz.seed == 0) fuzz.seed = cfg.seed;
   return std::make_unique<runtime::FuzzTransport>(
-      below != nullptr ? *below : be.transport(), be.exec(), fuzz);
+      below != nullptr ? *below : be.transport(), be.exec(), cfg.fuzz, cfg.seed);
 }
 
 std::unique_ptr<runtime::ReliableTransport> build_reliable_tp(const DeploymentConfig& cfg,
@@ -518,49 +515,9 @@ BprServer* Deployment::bpr_server(DcId dc, PartitionId p) {
 }
 
 ServerBase::Stats Deployment::total_server_stats() const {
-  // Accumulate in NodeId order: the sums commute, but a fixed order keeps
-  // any future non-commutative aggregate (and debug prints) deterministic.
-  std::vector<const ServerBase*> order;
-  order.reserve(servers_.size());
-  for (const auto& s : servers_) order.push_back(s.get());
-  std::sort(order.begin(), order.end(),
-            [](const ServerBase* a, const ServerBase* b) { return a->node() < b->node(); });
-
+  // Every rule (sum, max) commutes, so server order does not matter.
   ServerBase::Stats t;
-  for (const ServerBase* s : order) {
-    const auto& x = s->stats();
-    t.txs_coordinated += x.txs_coordinated;
-    t.read_only_txs += x.read_only_txs;
-    t.slices_served += x.slices_served;
-    t.cohort_prepares += x.cohort_prepares;
-    t.applied_writes += x.applied_writes;
-    t.replicate_batches_sent += x.replicate_batches_sent;
-    t.heartbeats_sent += x.heartbeats_sent;
-    t.gossip_msgs_sent += x.gossip_msgs_sent;
-    t.reads_blocked += x.reads_blocked;
-    t.blocked_time_us += x.blocked_time_us;
-    t.snapshots_served += x.snapshots_served;
-    t.catchups_served += x.catchups_served;
-    t.recovery_buffered += x.recovery_buffered;
-    t.orphan_commits += x.orphan_commits;
-    t.orphan_prepare_resps += x.orphan_prepare_resps;
-    t.prepared_fenced += x.prepared_fenced;
-    t.sketch_reports_sent += x.sketch_reports_sent;
-    t.keys_migrated += x.keys_migrated;
-    t.migrate_parked += x.migrate_parked;
-    t.migrate_chains_sent += x.migrate_chains_sent;
-    t.migrate_chains_installed += x.migrate_chains_installed;
-    // Placement scores are computed only on the controller; every other
-    // server reports 0, so max (not sum) preserves the controller's value.
-    t.replicate_factor_before_x1e6 =
-        std::max(t.replicate_factor_before_x1e6, x.replicate_factor_before_x1e6);
-    t.replicate_factor_after_x1e6 =
-        std::max(t.replicate_factor_after_x1e6, x.replicate_factor_after_x1e6);
-    t.load_rel_stddev_before_x1e6 =
-        std::max(t.load_rel_stddev_before_x1e6, x.load_rel_stddev_before_x1e6);
-    t.load_rel_stddev_after_x1e6 =
-        std::max(t.load_rel_stddev_after_x1e6, x.load_rel_stddev_after_x1e6);
-  }
+  for (const auto& s : servers_) merge_fields(t, s->stats());
   return t;
 }
 

@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/min_tracker.h"
 #include "common/phys_clock.h"
 #include "placement/placement.h"
@@ -95,7 +96,38 @@ class ServerBase : public runtime::Actor {
     std::uint64_t replicate_factor_after_x1e6 = 0;
     std::uint64_t load_rel_stddev_before_x1e6 = 0;
     std::uint64_t load_rel_stddev_after_x1e6 = 0;
+
+    template <class F, class... S>
+    static void fields(F&& f, S&... s) {
+      f("txs_coordinated", Merge::kSum, s.txs_coordinated...);
+      f("read_only_txs", Merge::kSum, s.read_only_txs...);
+      f("slices_served", Merge::kSum, s.slices_served...);
+      f("cohort_prepares", Merge::kSum, s.cohort_prepares...);
+      f("applied_writes", Merge::kSum, s.applied_writes...);
+      f("replicate_batches_sent", Merge::kSum, s.replicate_batches_sent...);
+      f("heartbeats_sent", Merge::kSum, s.heartbeats_sent...);
+      f("gossip_msgs_sent", Merge::kSum, s.gossip_msgs_sent...);
+      f("reads_blocked", Merge::kSum, s.reads_blocked...);
+      f("blocked_time_us", Merge::kSum, s.blocked_time_us...);
+      f("snapshots_served", Merge::kSum, s.snapshots_served...);
+      f("catchups_served", Merge::kSum, s.catchups_served...);
+      f("recovery_buffered", Merge::kSum, s.recovery_buffered...);
+      f("orphan_commits", Merge::kSum, s.orphan_commits...);
+      f("orphan_prepare_resps", Merge::kSum, s.orphan_prepare_resps...);
+      f("prepared_fenced", Merge::kSum, s.prepared_fenced...);
+      f("sketch_reports_sent", Merge::kSum, s.sketch_reports_sent...);
+      f("keys_migrated", Merge::kSum, s.keys_migrated...);
+      f("migrate_parked", Merge::kSum, s.migrate_parked...);
+      f("migrate_chains_sent", Merge::kSum, s.migrate_chains_sent...);
+      f("migrate_chains_installed", Merge::kSum, s.migrate_chains_installed...);
+      f("replicate_factor_before_x1e6", Merge::kMax, s.replicate_factor_before_x1e6...);
+      f("replicate_factor_after_x1e6", Merge::kMax, s.replicate_factor_after_x1e6...);
+      f("load_rel_stddev_before_x1e6", Merge::kMax, s.load_rel_stddev_before_x1e6...);
+      f("load_rel_stddev_after_x1e6", Merge::kMax, s.load_rel_stddev_after_x1e6...);
+    }
   };
+  /// Single writer (this server's worker): plain members, read once the
+  /// backend is quiescent.
   const Stats& stats() const { return stats_; }
 
   // --- crash recovery (DESIGN §11) ---

@@ -1,10 +1,8 @@
 #pragma once
 // Cross-host addressing for the socket runtime (DESIGN §10). An Endpoint is
 // where one rank of the process mesh listens; a host list names every rank's
-// endpoint, replacing the historical loopback `base_port + rank` arithmetic
-// so the same binary deploys across machines. loopback_host_list() is the
-// ONLY place that arithmetic is still allowed — it expands the deprecated
-// --listen-base-port convenience into an explicit loopback host list.
+// endpoint, so the same binary deploys across machines; a launcher given
+// no list picks free loopback ports (free_loopback_host_list).
 
 #include <netinet/in.h>
 
@@ -43,15 +41,11 @@ bool validate_host_list(const std::vector<Endpoint>& hosts, std::uint32_t nprocs
 /// "h1:p1,h2:p2,..." — the inverse of parse_host_list.
 std::string format_host_list(const std::vector<Endpoint>& hosts);
 
-/// Back-compat expansion of --listen-base-port: rank r listens on
-/// 127.0.0.1:(base_port + r). The only sanctioned base_port + rank site.
-std::vector<Endpoint> loopback_host_list(std::uint32_t nprocs, std::uint16_t base_port);
-
 /// One free 127.0.0.1 endpoint per rank, found by binding port 0 (all
 /// probe sockets stay bound until every port is chosen, so the ranks
-/// differ). Ports in the fixed loopback registry band 7400-7999 (DESIGN
-/// §13) are skipped. Lets a test own its cluster's ports instead of taking
-/// a registry row; empty when the kernel hands out too few ports.
+/// differ). Ports 7400-7999, where the one fixed-port test lives (DESIGN
+/// §13), are skipped. The launcher's default when no host list is given;
+/// empty when the kernel hands out too few ports.
 std::vector<Endpoint> free_loopback_host_list(std::uint32_t nprocs);
 
 /// Resolves to an IPv4 socket address: inet_pton for dotted quads, else a

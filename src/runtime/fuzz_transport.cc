@@ -21,11 +21,12 @@ std::uint64_t channel_key(NodeId from, NodeId to) {
 }
 }  // namespace
 
-FuzzTransport::FuzzTransport(Transport& inner, Executor& exec, FuzzConfig cfg)
+FuzzTransport::FuzzTransport(Transport& inner, Executor& exec, FuzzConfig cfg,
+                             std::uint64_t seed)
     : TransportDecorator(inner),
       exec_(exec),
       cfg_(cfg),
-      draws_(splitmix64(cfg.seed ^ 0x66757a7a54505854ull)) {}  // salt: "fuzzTPXT"
+      draws_(splitmix64(seed ^ 0x66757a7a54505854ull)) {}  // salt: "fuzzTPXT"
 
 int FuzzTransport::mutate(std::vector<std::uint8_t>& buf,
                           const std::vector<std::uint8_t>* partner, std::uint64_t h) {
@@ -85,8 +86,7 @@ void FuzzTransport::send_at(NodeId from, NodeId to, wire::MessagePtr msg,
       wire::Decoder d(old.data(), old.size());
       wire::MessagePtr dup = wire::decode_message_pooled(d, inner_.msg_pool(from));
       inner_.send_at(from, to, std::move(dup), at_us);
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++stats_.replays;
+      stats_.add(&Stats::replays);
     }
   }
 
@@ -99,8 +99,7 @@ void FuzzTransport::send_at(NodeId from, NodeId to, wire::MessagePtr msg,
     st.frames[st.next] = scratch;
     st.next = (st.next + 1) % kStashDepth;
     if (st.count < kStashDepth) ++st.count;
-    std::lock_guard<std::mutex> slk(stats_mu_);
-    ++stats_.captured;
+    stats_.add(&Stats::captured);
   }
 
   if (cfg_.corrupt_p > 0 && draws_.next(from, to) < cfg_.corrupt_p) {
@@ -132,24 +131,13 @@ void FuzzTransport::send_at(NodeId from, NodeId to, wire::MessagePtr msg,
       wire::MessagePtr m = wire::decode_message_pooled(d, inner_.msg_pool(from));
       (void)m;
     }
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++stats_.mutated;
-      if (kind == 0) ++stats_.flips;
-      else if (kind == 1) ++stats_.truncations;
-      else ++stats_.splices;
-      if (ok) ++stats_.accepted_validate;
-      else ++stats_.rejected_validate;
-    }
+    stats_.add(&Stats::mutated);
+    stats_.add(kind == 0 ? &Stats::flips : kind == 1 ? &Stats::truncations : &Stats::splices);
+    stats_.add(ok ? &Stats::accepted_validate : &Stats::rejected_validate);
     return;  // msg released, never delivered: corruption is loss
   }
 
   inner_.send_at(from, to, std::move(msg), at_us);
-}
-
-FuzzTransport::Stats FuzzTransport::stats() const {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  return stats_;
 }
 
 }  // namespace paris::runtime

@@ -45,7 +45,6 @@ namespace paris::runtime {
 struct FuzzConfig {
   double corrupt_p = 0;  ///< probability a message is mutated-then-dropped
   double replay_p = 0;   ///< probability a captured frame is re-delivered
-  std::uint64_t seed = 0;  ///< 0: the deployment substitutes its own seed
   /// Frames larger than this are not captured for splice/replay (bounds the
   /// per-channel stash; snapshot chunks need not apply).
   std::uint32_t max_capture_bytes = 2048;
@@ -64,16 +63,29 @@ class FuzzTransport final : public TransportDecorator {
     std::uint64_t accepted_validate = 0; ///< mutants that still parsed (then discarded)
     std::uint64_t replays = 0;           ///< captured frames re-delivered
     std::uint64_t captured = 0;          ///< frames stashed for splice/replay
+
+    template <class F, class... S>
+    static void fields(F&& f, S&... s) {
+      f("mutated", Merge::kSum, s.mutated...);
+      f("flips", Merge::kSum, s.flips...);
+      f("truncations", Merge::kSum, s.truncations...);
+      f("splices", Merge::kSum, s.splices...);
+      f("rejected_validate", Merge::kSum, s.rejected_validate...);
+      f("accepted_validate", Merge::kSum, s.accepted_validate...);
+      f("replays", Merge::kSum, s.replays...);
+      f("captured", Merge::kSum, s.captured...);
+    }
   };
 
-  FuzzTransport(Transport& inner, Executor& exec, FuzzConfig cfg);
+  /// `seed`: the deployment's; draws are a function of it and the channel.
+  FuzzTransport(Transport& inner, Executor& exec, FuzzConfig cfg, std::uint64_t seed);
 
   void send(NodeId from, NodeId to, wire::MessagePtr msg) override {
     send_at(from, to, std::move(msg), exec_.now_us());
   }
   void send_at(NodeId from, NodeId to, wire::MessagePtr msg, std::uint64_t at_us) override;
 
-  Stats stats() const;
+  Stats stats() const { return stats_.snapshot(); }
 
  private:
   /// Mutates `buf` in place (kind drawn from u); returns the mutation kind
@@ -101,8 +113,7 @@ class FuzzTransport final : public TransportDecorator {
   };
   Shard shards_[kShards];
 
-  mutable std::mutex stats_mu_;
-  Stats stats_;
+  Counters<Stats> stats_;
 };
 
 }  // namespace paris::runtime

@@ -228,8 +228,8 @@ std::uint64_t LinkTransport::through_pipe(DcId from, DcId to, std::uint32_t byte
     free_at = start + ser_us;
   }
   if (start > at_us) {
-    bw_queued_.fetch_add(1, std::memory_order_relaxed);
-    bw_wait_us_.fetch_add(start - at_us, std::memory_order_relaxed);
+    stats_.add(&Stats::bw_queued);
+    stats_.add(&Stats::bw_wait_us, start - at_us);
   }
   return start + ser_us;
 }
@@ -246,8 +246,8 @@ void LinkTransport::shape(NodeId from, NodeId to, wire::MessagePtr msg, std::uin
     if (!e.has_loss() || !in_drop_class(*msg, e.drop_class)) continue;
     const double p = ge_bad(i, now) ? e.loss_bad : e.loss_good;
     if (p >= 1 || (p > 0 && draws_.next(from, to) < p)) {
-      shaped_.fetch_add(1, std::memory_order_relaxed);
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&Stats::shaped);
+      stats_.add(&Stats::dropped);
       return;  // msg released, never delivered
     }
   }
@@ -255,7 +255,7 @@ void LinkTransport::shape(NodeId from, NodeId to, wire::MessagePtr msg, std::uin
     inner_.send_at(from, to, std::move(msg), at_us + sample_one_way_us(from, to));
     return;
   }
-  shaped_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&Stats::shaped);
   // 2-3. Duplication and stall from every active episode ...
   std::uint32_t copies = 0;
   for (const LinkEpisode& e : episodes_) {
@@ -266,10 +266,10 @@ void LinkTransport::shape(NodeId from, NodeId to, wire::MessagePtr msg, std::uin
     }
     if (e.stall_p > 0 && draws_.next(from, to) < e.stall_p) {
       at_us += e.stall_us;  // a TCP stall: later channels overtake this one
-      stalled_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&Stats::stalled);
     }
   }
-  if (copies != 0) duplicated_.fetch_add(copies, std::memory_order_relaxed);
+  if (copies != 0) stats_.add(&Stats::duplicated, copies);
   // 4-6. ... then every copy takes its own pipe slot, the ramps and the base
   // delay, as if it had been sent twice.
   for (std::uint32_t n = 0; n <= copies; ++n) {
@@ -297,13 +297,6 @@ void LinkTransport::shape(NodeId from, NodeId to, wire::MessagePtr msg, std::uin
       inner_.send_at(from, to, msg, t);  // same payload
     }
   }
-}
-
-LinkTransport::Stats LinkTransport::stats() const {
-  const auto r = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  return {r(shaped_), r(dropped_), r(duplicated_), r(stalled_), r(bw_queued_), r(bw_wait_us_)};
 }
 
 }  // namespace paris::runtime

@@ -39,7 +39,6 @@
 // With no episode configured a send costs what a bare delay model costs:
 // no draw for a jitter-free model, no lock and no atomic read-modify-write.
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -47,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "runtime/executor.h"
 #include "runtime/transport.h"
@@ -215,6 +215,16 @@ class LinkTransport final : public TransportDecorator {
     std::uint64_t stalled = 0;
     std::uint64_t bw_queued = 0;   ///< messages that waited behind a pipe
     std::uint64_t bw_wait_us = 0;  ///< total pipe queueing wait
+
+    template <class F, class... S>
+    static void fields(F&& f, S&... s) {
+      f("shaped", Merge::kSum, s.shaped...);
+      f("dropped", Merge::kSum, s.dropped...);
+      f("duplicated", Merge::kSum, s.duplicated...);
+      f("stalled", Merge::kSum, s.stalled...);
+      f("bw_queued", Merge::kSum, s.bw_queued...);
+      f("bw_wait_us", Merge::kSum, s.bw_wait_us...);
+    }
   };
 
   /// `delay` empty: no base delay, episodes only.
@@ -240,7 +250,7 @@ class LinkTransport final : public TransportDecorator {
   /// (seed, ep, slot), public so tests can measure burstiness directly.
   bool ge_bad(std::size_t ep, std::uint64_t now);
 
-  Stats stats() const;
+  Stats stats() const { return stats_.snapshot(); }
 
  private:
   void shape(NodeId from, NodeId to, wire::MessagePtr msg, std::uint64_t at_us);
@@ -264,8 +274,7 @@ class LinkTransport final : public TransportDecorator {
   std::mutex pipe_mu_;
   std::unordered_map<std::uint64_t, std::uint64_t> pipe_free_at_;
 
-  std::atomic<std::uint64_t> shaped_{0}, dropped_{0}, duplicated_{0}, stalled_{0},
-      bw_queued_{0}, bw_wait_us_{0};
+  Counters<Stats> stats_;
 };
 
 }  // namespace paris::runtime

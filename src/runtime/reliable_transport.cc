@@ -81,7 +81,7 @@ class ReliableTransport::Endpoint final : public Actor {
     }
 
     ch.window.push_back(Flight{wire::MessagePtr(std::move(frame)), 0, at_us});
-    rt_.stats_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+    rt_.stats_.add(&Stats::frames_sent);
     pump(to, ch, rt_.exec_.now_us());
   }
 
@@ -118,12 +118,12 @@ class ReliableTransport::Endpoint final : public Actor {
       ch.acked = 0;
       ch.sent = 0;
       ch.backoff = 1;
-      rt_.stats_.channel_resets.fetch_add(1, std::memory_order_relaxed);
+      rt_.stats_.add(&Stats::channel_resets);
       pump(peer, ch, now);
       if (auto it = recv_.find(peer); it != recv_.end()) {
         it->second.delivered = 0;
         it->second.ooo.clear();
-        rt_.stats_.channel_resets.fetch_add(1, std::memory_order_relaxed);
+        rt_.stats_.add(&Stats::channel_resets);
       }
     }
   }
@@ -192,7 +192,7 @@ class ReliableTransport::Endpoint final : public Actor {
     ph->dst_epoch = old.dst_epoch;
     ph->inner_type = old.inner_type;
     fl.frame = wire::MessagePtr(std::move(ph));
-    rt_.stats_.coalesced.fetch_add(1, std::memory_order_relaxed);
+    rt_.stats_.add(&Stats::coalesced);
   }
 
   void handle_frame(NodeId from, const wire::ReliableFrame& f) {
@@ -203,14 +203,14 @@ class ReliableTransport::Endpoint final : public Actor {
       // seqs out of the reorder buffer, where they would later mask the
       // renumbered frame carrying the same seq. The sender renumbers and
       // restamps on its own epoch notice, so delivery converges.
-      rt_.stats_.fenced_frames.fetch_add(1, std::memory_order_relaxed);
+      rt_.stats_.add(&Stats::fenced_frames);
       return;
     }
     RecvChannel& ch = recv_[from];
     if (f.seq <= ch.delivered) {
       // Duplicate: a retransmission raced the ack. Re-ack so the sender's
       // window drains even if the original ack was lost.
-      rt_.stats_.dup_frames.fetch_add(1, std::memory_order_relaxed);
+      rt_.stats_.add(&Stats::dup_frames);
       send_ack(from, ch);
       return;
     }
@@ -229,7 +229,7 @@ class ReliableTransport::Endpoint final : public Actor {
     }
     // Past a gap (a drop ate a predecessor): buffer, bounded; the stale ack
     // below tells the sender to fast-retransmit the missing head.
-    rt_.stats_.ooo_frames.fetch_add(1, std::memory_order_relaxed);
+    rt_.stats_.add(&Stats::ooo_frames);
     if (ch.ooo.size() < rt_.cfg_.max_ooo_buffered) {
       ch.ooo.emplace(f.seq, f.payload);  // no-op if that seq is already held
     }
@@ -265,7 +265,7 @@ class ReliableTransport::Endpoint final : public Actor {
   void apply_sack(SendChannel& ch, const wire::ReliableAck& a) {
     if (a.sack.empty() || !rt_.cfg_.sack) return;
     if (!sack_well_formed(a) || a.cum_seq > ch.next_seq) {
-      rt_.stats_.malformed_acks.fetch_add(1, std::memory_order_relaxed);
+      rt_.stats_.add(&Stats::malformed_acks);
       return;
     }
     for (std::size_t i = 0; i < a.sack.size(); i += 2) {
@@ -284,11 +284,11 @@ class ReliableTransport::Endpoint final : public Actor {
     if (a.cum_seq > ch.next_seq) {
       // A peer acking seqs we never assigned is broken (or restarted with
       // stale state): ignore the whole ack rather than corrupt the window.
-      rt_.stats_.malformed_acks.fetch_add(1, std::memory_order_relaxed);
+      rt_.stats_.add(&Stats::malformed_acks);
       return;
     }
     if (a.cum_seq <= ch.acked) {
-      rt_.stats_.stale_acks.fetch_add(1, std::memory_order_relaxed);
+      rt_.stats_.add(&Stats::stale_acks);
       // Even a stale ack carries fresh SACK state — during loss recovery
       // stale acks are the MAIN carrier of it.
       apply_sack(ch, a);
@@ -303,8 +303,8 @@ class ReliableTransport::Endpoint final : public Actor {
           rt_.inner_.send(self_, from, head.frame);
           head.sent_at_us = now;
           head.retransmitted = true;
-          rt_.stats_.retransmits.fetch_add(1, std::memory_order_relaxed);
-          rt_.stats_.fast_retransmits.fetch_add(1, std::memory_order_relaxed);
+          rt_.stats_.add(&Stats::retransmits);
+          rt_.stats_.add(&Stats::fast_retransmits);
         }
       }
       return;
@@ -322,7 +322,7 @@ class ReliableTransport::Endpoint final : public Actor {
     const bool sampled = sample_from != 0 && now >= sample_from;
     if (sampled) {
       ch.rtt.on_sample(now - sample_from);
-      rt_.stats_.rtt_samples.fetch_add(1, std::memory_order_relaxed);
+      rt_.stats_.add(&Stats::rtt_samples);
     }
     if (ch.sent < ch.acked) ch.sent = ch.acked;
     // Forward progress resets the backoff. With the adaptive RTO it takes a
@@ -363,7 +363,7 @@ class ReliableTransport::Endpoint final : public Actor {
       }
     }
     rt_.inner_.send(self_, to, std::move(ack));
-    rt_.stats_.acks_sent.fetch_add(1, std::memory_order_relaxed);
+    rt_.stats_.add(&Stats::acks_sent);
   }
 
   /// Resends the IN-FLIGHT burst's GAPS in order — flights the receiver
@@ -386,8 +386,8 @@ class ReliableTransport::Endpoint final : public Actor {
       fl.retransmitted = true;
       ++resent;
     }
-    rt_.stats_.retransmits.fetch_add(resent, std::memory_order_relaxed);
-    if (skipped != 0) rt_.stats_.sacked_skips.fetch_add(skipped, std::memory_order_relaxed);
+    rt_.stats_.add(&Stats::retransmits, resent);
+    if (skipped != 0) rt_.stats_.add(&Stats::sacked_skips, skipped);
     pump(to, ch, now);
   }
 
@@ -456,24 +456,6 @@ void ReliableTransport::send_at(NodeId from, NodeId to, wire::MessagePtr msg,
   } else {
     inner_.send_at(from, to, std::move(msg), at_us);
   }
-}
-
-ReliableTransport::Stats ReliableTransport::stats() const {
-  Stats s;
-  s.frames_sent = stats_.frames_sent.load(std::memory_order_relaxed);
-  s.retransmits = stats_.retransmits.load(std::memory_order_relaxed);
-  s.fast_retransmits = stats_.fast_retransmits.load(std::memory_order_relaxed);
-  s.acks_sent = stats_.acks_sent.load(std::memory_order_relaxed);
-  s.dup_frames = stats_.dup_frames.load(std::memory_order_relaxed);
-  s.ooo_frames = stats_.ooo_frames.load(std::memory_order_relaxed);
-  s.stale_acks = stats_.stale_acks.load(std::memory_order_relaxed);
-  s.coalesced = stats_.coalesced.load(std::memory_order_relaxed);
-  s.sacked_skips = stats_.sacked_skips.load(std::memory_order_relaxed);
-  s.malformed_acks = stats_.malformed_acks.load(std::memory_order_relaxed);
-  s.rtt_samples = stats_.rtt_samples.load(std::memory_order_relaxed);
-  s.channel_resets = stats_.channel_resets.load(std::memory_order_relaxed);
-  s.fenced_frames = stats_.fenced_frames.load(std::memory_order_relaxed);
-  return s;
 }
 
 std::size_t ReliableTransport::window_size(NodeId node) const {

@@ -62,7 +62,6 @@
 // exactness/causal checkers verify.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -70,6 +69,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.h"
 #include "runtime/actor.h"
 #include "runtime/executor.h"
 #include "runtime/link_transport.h"
@@ -197,6 +197,23 @@ class ReliableTransport final : public TransportDecorator {
     std::uint64_t rtt_samples = 0;       ///< Karn-valid samples fed to estimators
     std::uint64_t channel_resets = 0;    ///< channels renumbered after a peer respawn
     std::uint64_t fenced_frames = 0;     ///< frames stamped for another incarnation
+
+    template <class F, class... S>
+    static void fields(F&& f, S&... s) {
+      f("frames_sent", Merge::kSum, s.frames_sent...);
+      f("retransmits", Merge::kSum, s.retransmits...);
+      f("fast_retransmits", Merge::kSum, s.fast_retransmits...);
+      f("acks_sent", Merge::kSum, s.acks_sent...);
+      f("dup_frames", Merge::kSum, s.dup_frames...);
+      f("ooo_frames", Merge::kSum, s.ooo_frames...);
+      f("stale_acks", Merge::kSum, s.stale_acks...);
+      f("coalesced", Merge::kSum, s.coalesced...);
+      f("sacked_skips", Merge::kSum, s.sacked_skips...);
+      f("malformed_acks", Merge::kSum, s.malformed_acks...);
+      f("rtt_samples", Merge::kSum, s.rtt_samples...);
+      f("channel_resets", Merge::kSum, s.channel_resets...);
+      f("fenced_frames", Merge::kSum, s.fenced_frames...);
+    }
   };
 
   /// True when sends toward `to` must be framed (see the framing rule
@@ -218,7 +235,7 @@ class ReliableTransport final : public TransportDecorator {
   void send_at(NodeId from, NodeId to, wire::MessagePtr msg, std::uint64_t at_us) override;
 
   const ReliableConfig& config() const { return cfg_; }
-  Stats stats() const;
+  Stats stats() const { return stats_.snapshot(); }
 
   /// In-flight frames currently awaiting ack across all channels of `node`
   /// (test/diagnostic access; call only when the backend is quiescent).
@@ -250,15 +267,8 @@ class ReliableTransport final : public TransportDecorator {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;  ///< fixed before start
   std::vector<Endpoint*> by_node_;                    ///< index = NodeId
 
-  // Counters are touched from every worker; relaxed atomics, snapshotted by
-  // stats().
-  struct AtomicStats {
-    std::atomic<std::uint64_t> frames_sent{0}, retransmits{0}, fast_retransmits{0},
-        acks_sent{0}, dup_frames{0}, ooo_frames{0}, stale_acks{0}, coalesced{0},
-        sacked_skips{0}, malformed_acks{0}, rtt_samples{0}, channel_resets{0},
-        fenced_frames{0};
-  };
-  AtomicStats stats_;
+  /// Touched from every worker.
+  Counters<Stats> stats_;
 };
 
 }  // namespace paris::runtime

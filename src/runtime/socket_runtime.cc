@@ -301,7 +301,7 @@ bool SocketBackend::forward(NodeId from, NodeId to,
   {
     std::lock_guard<std::mutex> lk(p.mu);
     if (!p.alive) {
-      stats_.dropped_dead.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&SocketStats::dropped_dead);
       return true;  // consumed: link down, the reliable layer (if any) re-covers
     }
     if (opt_.outbound_budget != 0 &&
@@ -318,7 +318,7 @@ bool SocketBackend::forward(NodeId from, NodeId to,
     p.out.push_back(std::move(buf));
     poke = p.queued.fetch_add(flen, std::memory_order_relaxed) == 0;
   }
-  stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&SocketStats::frames_out);
   if (poke) wake();
   return true;
 }
@@ -405,7 +405,7 @@ void SocketBackend::start() {
       continue;
     }
     if (!note_epoch(rank, epoch)) {  // a zombie old incarnation dialed in
-      stats_.fenced_stale_epoch.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&SocketStats::fenced_stale_epoch);
       close(fd);
       continue;
     }
@@ -521,16 +521,16 @@ void SocketBackend::mark_dead(Peer& p) {
 }
 
 bool SocketBackend::process_inbound(Peer& p, std::size_t bytes_read) {
-  stats_.bytes_in.fetch_add(bytes_read, std::memory_order_relaxed);
+  stats_.add(&SocketStats::bytes_in, bytes_read);
   sockdetail::FrameView f;
   while (p.in.next_view(f)) {  // zero-copy: straight into the envelope
-    stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&SocketStats::frames_in);
     if (f.to == sockdetail::kEpochBeaconDst) {
       // Pump-level epoch lease. A beacon from a STALE incarnation means
       // a zombie half of an old process still owns this connection:
       // fence the whole link before it can touch reliable windows.
       if (f.len != sockdetail::kBeaconBytes) {
-        stats_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(&SocketStats::malformed_frames);
         continue;
       }
       std::uint32_t brank, bepoch, bview;
@@ -538,7 +538,7 @@ bool SocketBackend::process_inbound(Peer& p, std::size_t bytes_read) {
       std::memcpy(&bepoch, f.data + 4, 4);
       std::memcpy(&bview, f.data + 8, 4);
       if (brank >= opt_.nprocs || brank == opt_.rank || !note_epoch(brank, bepoch)) {
-        stats_.fenced_stale_epoch.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(&SocketStats::fenced_stale_epoch);
         return false;  // caller tears the connection down
       }
       note_view(brank, bview);
@@ -552,7 +552,7 @@ bool SocketBackend::process_inbound(Peer& p, std::size_t bytes_read) {
     // crash (the reliable layer re-covers dropped frames).
     if (f.to < node_dc_.size() && f.from < node_dc_.size() && is_local(f.to)) {
       if (!wire::validate_encoded_message(f.data, f.len)) {
-        stats_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(&SocketStats::malformed_frames);
         continue;
       }
       tb_.inject_encoded(f.from, f.to, f.data, f.len);
@@ -560,7 +560,7 @@ bool SocketBackend::process_inbound(Peer& p, std::size_t bytes_read) {
   }
   if (!p.in.ok()) return false;  // corrupt length prefix mid-stream
   if (p.in.buffered() != 0) {
-    stats_.partial_reads.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&SocketStats::partial_reads);
   }
   return true;
 }
@@ -573,7 +573,7 @@ void SocketBackend::handle_readable(Peer& p) {
     std::uint8_t* dst = p.in.reserve(chunk);
     const ssize_t n = recv(p.fd, dst, chunk, 0);
     if (n > 0) {
-      stats_.read_syscalls.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&SocketStats::read_syscalls);
       p.in.commit(static_cast<std::size_t>(n));
       if (!process_inbound(p, static_cast<std::size_t>(n))) {
         mark_dead(p);
@@ -608,7 +608,7 @@ bool SocketBackend::refill_drain(Peer& p) {
   p.dcur.reset();
   if (p.out.empty()) return false;
   std::swap(p.out, p.drain);
-  stats_.flushes.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&SocketStats::flushes);
   return true;
 }
 
@@ -628,20 +628,19 @@ void SocketBackend::handle_writable(Peer& p) {
     // raise SIGPIPE); one syscall flushes up to kMaxWritevIovecs frames.
     const ssize_t n = sendmsg(p.fd, &mh, MSG_NOSIGNAL);
     if (n > 0) {
-      stats_.write_syscalls.fetch_add(1, std::memory_order_relaxed);
-      stats_.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
-                                 std::memory_order_relaxed);
+      stats_.add(&SocketStats::write_syscalls);
+      stats_.add(&SocketStats::bytes_out, static_cast<std::uint64_t>(n));
       p.dcur.advance(p.drain, static_cast<std::size_t>(n));
       p.queued.fetch_sub(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
       if (static_cast<std::size_t>(n) < total) {
         // Kernel buffer filled mid-chain: resume at the cursor on POLLOUT.
-        stats_.short_writes.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(&SocketStats::short_writes);
         return;
       }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-      stats_.short_writes.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&SocketStats::short_writes);
       return;  // kernel buffer full: resume on the next POLLOUT
     }
     mark_dead(p);  // EPIPE/ECONNRESET etc.
@@ -674,7 +673,7 @@ void SocketBackend::accept_pending() {
           rank < opt_.nprocs && rank != opt_.rank) {
         if (!note_epoch(rank, epoch)) {
           // A dead incarnation of this rank redialed in: fence it.
-          stats_.fenced_stale_epoch.fetch_add(1, std::memory_order_relaxed);
+          stats_.add(&SocketStats::fenced_stale_epoch);
           close(pa.fd);
         } else {
           note_view(rank, view);
@@ -694,7 +693,7 @@ void SocketBackend::accept_pending() {
             p.redial_gave_up = false;
           }
           queue_beacon(p);
-          stats_.reconnects.fetch_add(1, std::memory_order_relaxed);
+          stats_.add(&SocketStats::reconnects);
         }
       } else {
         close(pa.fd);  // stranger or token mismatch: not our mesh
@@ -721,14 +720,14 @@ void SocketBackend::periodic(std::uint64_t now) {
     if (p.alive || !p.we_dial || p.redial_gave_up || now < p.next_redial_us) {
       continue;
     }
-    stats_.redial_attempts.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&SocketStats::redial_attempts);
     if (dial_peer(r, now + 1)) {  // single quick attempt per period
-      stats_.reconnects.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&SocketStats::reconnects);
       continue;
     }
     if (++p.redial_tries >= kRedialMaxTries) {
       p.redial_gave_up = true;  // a respawned peer revives us by dialing in
-      stats_.redial_giveups.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&SocketStats::redial_giveups);
       continue;
     }
     const std::uint64_t jitter =
@@ -807,22 +806,7 @@ void SocketBackend::io_main() {
 }
 
 SocketStats SocketBackend::stats() const {
-  SocketStats s;
-  s.frames_out = stats_.frames_out.load(std::memory_order_relaxed);
-  s.frames_in = stats_.frames_in.load(std::memory_order_relaxed);
-  s.bytes_out = stats_.bytes_out.load(std::memory_order_relaxed);
-  s.bytes_in = stats_.bytes_in.load(std::memory_order_relaxed);
-  s.partial_reads = stats_.partial_reads.load(std::memory_order_relaxed);
-  s.short_writes = stats_.short_writes.load(std::memory_order_relaxed);
-  s.reconnects = stats_.reconnects.load(std::memory_order_relaxed);
-  s.dropped_dead = stats_.dropped_dead.load(std::memory_order_relaxed);
-  s.redial_attempts = stats_.redial_attempts.load(std::memory_order_relaxed);
-  s.redial_giveups = stats_.redial_giveups.load(std::memory_order_relaxed);
-  s.fenced_stale_epoch = stats_.fenced_stale_epoch.load(std::memory_order_relaxed);
-  s.malformed_frames = stats_.malformed_frames.load(std::memory_order_relaxed);
-  s.read_syscalls = stats_.read_syscalls.load(std::memory_order_relaxed);
-  s.write_syscalls = stats_.write_syscalls.load(std::memory_order_relaxed);
-  s.flushes = stats_.flushes.load(std::memory_order_relaxed);
+  SocketStats s = stats_.snapshot();
   // Backpressure is observed where it bites: the ThreadBackend's router
   // park path (the sender side of the seam).
   s.backpressure_stalls = tb_.router_parks();

@@ -73,6 +73,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fields.h"
 #include "runtime/endpoint.h"
 #include "runtime/thread_runtime.h"
 
@@ -84,11 +85,10 @@ namespace paris::runtime {
 struct SocketConfig {
   std::int32_t rank = -1;        ///< this process's rank; -1 = launcher
   std::uint32_t processes = 0;   ///< 0 = one per DC
-  /// Rank r listens on hosts[r]. Empty = the deprecated --listen-base-port
-  /// convenience applies: the deployment expands loopback_host_list(nprocs,
-  /// base_port) — the only surviving base_port + rank site in the tree.
+  /// Rank r listens on hosts[r]. Empty = the launcher picks one free
+  /// loopback port per rank (free_loopback_host_list) and ships the list to
+  /// every child in the config file.
   std::vector<Endpoint> hosts;
-  std::uint16_t base_port = 7421;  ///< DEPRECATED alias; see `hosts`
   std::uint64_t connect_timeout_ms = 15'000;
   /// Mesh identity, echoed in every connection hello: two concurrent runs
   /// sharing a port range must not silently cross-connect their clusters.
@@ -146,6 +146,27 @@ struct SocketStats {
   std::uint64_t flushes = 0;         ///< outbound ring→drain swaps (batches)
   std::uint64_t backpressure_stalls = 0;  ///< envelopes parked: peer ring full
   std::uint64_t backpressure_drops = 0;   ///< parked envelopes shed at the cap
+
+  template <class F, class... S>
+  static void fields(F&& f, S&... s) {
+    f("frames_out", Merge::kSum, s.frames_out...);
+    f("frames_in", Merge::kSum, s.frames_in...);
+    f("bytes_out", Merge::kSum, s.bytes_out...);
+    f("bytes_in", Merge::kSum, s.bytes_in...);
+    f("partial_reads", Merge::kSum, s.partial_reads...);
+    f("short_writes", Merge::kSum, s.short_writes...);
+    f("reconnects", Merge::kSum, s.reconnects...);
+    f("dropped_dead", Merge::kSum, s.dropped_dead...);
+    f("redial_attempts", Merge::kSum, s.redial_attempts...);
+    f("redial_giveups", Merge::kSum, s.redial_giveups...);
+    f("fenced_stale_epoch", Merge::kSum, s.fenced_stale_epoch...);
+    f("malformed_frames", Merge::kSum, s.malformed_frames...);
+    f("read_syscalls", Merge::kSum, s.read_syscalls...);
+    f("write_syscalls", Merge::kSum, s.write_syscalls...);
+    f("flushes", Merge::kSum, s.flushes...);
+    f("backpressure_stalls", Merge::kSum, s.backpressure_stalls...);
+    f("backpressure_drops", Merge::kSum, s.backpressure_drops...);
+  }
 
   /// Syscalls spent per frame moved (both directions); the bench's headline
   /// batching metric. 0 when no frames moved.
@@ -451,13 +472,9 @@ class SocketBackend final : public Backend, public RemoteRouter {
   bool started_ = false;
   bool stopped_ = false;
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> frames_out{0}, frames_in{0}, bytes_out{0}, bytes_in{0},
-        partial_reads{0}, short_writes{0}, reconnects{0}, dropped_dead{0},
-        redial_attempts{0}, redial_giveups{0}, fenced_stale_epoch{0},
-        malformed_frames{0}, read_syscalls{0}, write_syscalls{0}, flushes{0};
-  };
-  AtomicStats stats_;
+  /// The backpressure pair stays zero here: stats() reads it from the
+  /// ThreadBackend's router, where parking happens.
+  Counters<SocketStats> stats_;
 
   /// Highest epoch seen per peer rank (hello or beacon); [rank()] unused.
   std::unique_ptr<std::atomic<std::uint32_t>[]> peer_epochs_;

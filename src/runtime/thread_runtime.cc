@@ -11,7 +11,8 @@ constexpr std::uint64_t kNoDeadline = ~0ull;
 /// The Worker whose loop runs on this thread (null on the main thread and
 /// on the pump thread) — lets enqueue_message tell owner-thread sends,
 /// which may touch the worker's parked queue directly, from foreign-thread
-/// sends, which must go through the mailbox.
+/// sends, which must go through the mailbox, and start_periodic reject
+/// timer creation from a foreign thread.
 thread_local const void* t_worker = nullptr;
 /// How soon a worker with parked (backpressured) envelopes re-tries the
 /// router; the pump drains rings continuously, so this is the worst-case
@@ -223,8 +224,10 @@ std::uint64_t ThreadBackend::start_periodic(NodeId actor, std::uint64_t period_u
     timer_recs_.emplace(id, rec);
   }
   // Heap access is single-threaded: before start() only the main thread
-  // touches it; afterwards only the owning worker may create timers.
-  PARIS_CHECK_MSG(!started_ || std::this_thread::get_id() == w.thread.get_id(),
+  // touches it; afterwards only the owning worker may create timers. The
+  // owner test reads this thread's own t_worker: w.thread is assigned by
+  // start() while the worker may already be running.
+  PARIS_CHECK_MSG(!started_ || t_worker == &w,
                   "runtime timer creation from a foreign thread");
   w.timers.push(TimerEntry{now_us() + phase_us, std::move(rec)});
   return id;

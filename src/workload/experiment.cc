@@ -315,9 +315,10 @@ ExperimentResult run_local_experiment(const ExperimentConfig& cfg,
 
   const auto server_stats = dep.total_server_stats();
   res.blocked_reads = server_stats.reads_blocked;
-  res.avg_block_ms = server_stats.reads_blocked
-                         ? static_cast<double>(server_stats.blocked_time_us) /
-                               static_cast<double>(server_stats.reads_blocked) / 1000.0
+  res.blocked_time_us = server_stats.blocked_time_us;
+  res.avg_block_ms = res.blocked_reads != 0
+                         ? static_cast<double>(res.blocked_time_us) /
+                               static_cast<double>(res.blocked_reads) / 1000.0
                          : 0.0;
 
   res.gossip_msgs = server_stats.gossip_msgs_sent;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "proto/deployment.h"
 #include "stats/histogram.h"
 #include "stats/summary.h"
@@ -96,7 +97,8 @@ struct ExperimentResult {
 
   // BPR read blocking (whole run, §V-B "Blocking time").
   std::uint64_t blocked_reads = 0;
-  double avg_block_ms = 0;
+  std::uint64_t blocked_time_us = 0;  ///< summed over blocked reads
+  double avg_block_ms = 0;            ///< derived: blocked_time_us / blocked_reads
 
   // Update visibility latency (µs), all replicas of sampled transactions.
   stats::Histogram visibility_hist;
@@ -160,6 +162,54 @@ struct ExperimentResult {
   std::uint64_t sketch_reports = 0;
 
   std::vector<std::string> violations;  // non-empty => consistency bug
+
+  /// The fields a socket child ships to the launcher, each with the rule
+  /// that merges two children's values (DESIGN §10, "Counters across
+  /// processes"). Not listed: values derived after the merge (rates,
+  /// summaries, avg_block_ms, local_hit_rate) and launcher-side ones
+  /// (wall_seconds, respawns, violations).
+  template <class F, class... R>
+  static void fields(F&& f, R&... r) {
+    f("committed", Merge::kSum, r.committed...);
+    f("latency_hist", Merge::kHist, r.latency_hist...);
+    f("latency_local_hist", Merge::kHist, r.latency_local_hist...);
+    f("latency_multi_hist", Merge::kHist, r.latency_multi_hist...);
+    f("visibility_hist", Merge::kHist, r.visibility_hist...);
+    f("blocked_reads", Merge::kSum, r.blocked_reads...);
+    f("blocked_time_us", Merge::kSum, r.blocked_time_us...);
+    f("gossip_msgs", Merge::kSum, r.gossip_msgs...);
+    f("keys_read", Merge::kSum, r.keys_read...);
+    f("local_hits", Merge::kSum, r.local_hits...);
+    f("max_client_cache", Merge::kMax, r.max_client_cache...);
+    f("sim_events", Merge::kSum, r.sim_events...);
+    f("bytes_sent", Merge::kSum, r.bytes_sent...);
+    runtime::LinkTransport::Stats::fields(f, r.link...);
+    runtime::ReliableTransport::Stats::fields(f, r.reliable...);
+    runtime::FuzzTransport::Stats::fields(f, r.fuzz...);
+    runtime::SocketStats::fields(f, r.socket...);
+    f("snapshots_served", Merge::kSum, r.snapshots_served...);
+    f("catchups_served", Merge::kSum, r.catchups_served...);
+    f("prepared_fenced", Merge::kSum, r.prepared_fenced...);
+    f("recovery_ms", Merge::kMax, r.recovery_ms...);
+    f("scheduled", Merge::kSum, r.scheduled...);
+    f("overdue", Merge::kSum, r.overdue...);
+    f("max_backlog", Merge::kMax, r.max_backlog...);
+    f("intended_hist", Merge::kHist, r.intended_hist...);
+    f("service_hist", Merge::kHist, r.service_hist...);
+    // Every engine lives in exactly one child, so the XOR across children
+    // is the XOR over all engines (the cross-runtime digest invariant).
+    f("workload_digest", Merge::kXor, r.workload_digest...);
+    // Placement scores are controller-only: every other child reports 0.
+    f("replicate_factor_before", Merge::kMax, r.replicate_factor_before...);
+    f("replicate_factor_after", Merge::kMax, r.replicate_factor_after...);
+    f("load_rel_stddev_before", Merge::kMax, r.load_rel_stddev_before...);
+    f("load_rel_stddev_after", Merge::kMax, r.load_rel_stddev_after...);
+    f("keys_migrated", Merge::kSum, r.keys_migrated...);
+    f("migrate_parked", Merge::kSum, r.migrate_parked...);
+    f("migrate_chains_sent", Merge::kSum, r.migrate_chains_sent...);
+    f("migrate_chains_installed", Merge::kSum, r.migrate_chains_installed...);
+    f("sketch_reports", Merge::kSum, r.sketch_reports...);
+  }
 };
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg);

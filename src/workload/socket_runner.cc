@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/assert.h"
 #include "runtime/endpoint.h"
@@ -38,15 +40,136 @@ namespace {
 ///   v2: cfgver header; socket_hosts; membership_event lines.
 ///   v3: link_episode lines replace the chaos_* keys, partition_window,
 ///       wan_episode and the seeds; socket_pump and socket_batch_io gone.
-constexpr std::uint64_t kConfigCodecVersion = 3;
+///   v4: socket_base_port and fuzz_seed gone.
+constexpr std::uint64_t kConfigCodecVersion = 4;
 
-void put(std::ostringstream& o, const char* k, std::uint64_t v) {
-  o << k << ' ' << v << '\n';
+/// Every single-token key of the config file, in file order, with the
+/// member it carries. Encode and decode both walk this list; the repeated
+/// membership_event and link_episode lines follow it.
+template <class F, class C>
+void config_fields(F&& f, C& c) {
+  f("system", c.system);
+  f("worker_threads", c.worker_threads);
+  f("num_dcs", c.num_dcs);
+  f("num_partitions", c.num_partitions);
+  f("replication", c.replication);
+  f("ops_per_tx", c.workload.ops_per_tx);
+  f("writes_per_tx", c.workload.writes_per_tx);
+  f("partitions_per_tx", c.workload.partitions_per_tx);
+  f("multi_dc_ratio", c.workload.multi_dc_ratio);
+  f("keys_per_partition", c.workload.keys_per_partition);
+  f("zipf_theta", c.workload.zipf_theta);
+  f("value_size", c.workload.value_size);
+  f("key_dist", c.workload.key_dist);
+  f("hot_key_frac", c.workload.hot_key_frac);
+  f("hot_access_frac", c.workload.hot_access_frac);
+  f("openloop_enabled", c.openloop.enabled);
+  f("arrival_rate", c.openloop.arrival_rate);
+  f("openloop_sessions", c.openloop.sessions);
+  f("rate_profile", c.openloop.profile);
+  f("diurnal_amp", c.openloop.diurnal_amp);
+  f("diurnal_period_us", c.openloop.diurnal_period_us);
+  f("flash_mult", c.openloop.flash_mult);
+  f("flash_at_us", c.openloop.flash_at_us);
+  f("flash_len_us", c.openloop.flash_len_us);
+  f("trace_path", c.openloop.trace_path);
+  f("threads_per_process", c.threads_per_process);
+  f("warmup_us", c.warmup_us);
+  f("measure_us", c.measure_us);
+  f("seed", c.seed);
+  f("check_consistency", c.check_consistency);
+  f("measure_visibility", c.measure_visibility);
+  f("visibility_sample_shift", c.visibility_sample_shift);
+  f("delta_r_us", c.protocol.delta_r_us);
+  f("delta_g_us", c.protocol.delta_g_us);
+  f("delta_u_us", c.protocol.delta_u_us);
+  f("gc_interval_us", c.protocol.gc_interval_us);
+  f("tree_fanout", c.protocol.tree_fanout);
+  f("ntp_error_us", c.protocol.ntp_error_us);
+  f("drift_ppm", c.protocol.drift_ppm);
+  f("bpr_gc_retention_us", c.protocol.bpr_gc_retention_us);
+  f("tx_context_timeout_us", c.protocol.tx_context_timeout_us);
+  f("placement_policy", c.protocol.placement_policy);
+  f("sketch_capacity", c.protocol.sketch_capacity);
+  f("sketch_report_period_us", c.protocol.sketch_report_period_us);
+  f("migrate_top_k", c.protocol.migrate_top_k);
+  f("migrate_at_us", c.protocol.migrate_at_us);
+  f("migrate_fault_skip_copy", c.protocol.migrate_fault_skip_copy);
+  f("aws_latency", c.aws_latency);
+  f("uniform_inter_dc_us", c.uniform_inter_dc_us);
+  f("uniform_intra_dc_us", c.uniform_intra_dc_us);
+  f("latency_model", c.latency_model);
+  f("reliable", c.reliable);
+  f("rto_us", c.reliable_cfg.rto_us);
+  f("max_rto_us", c.reliable_cfg.max_rto_us);
+  f("scan_period_us", c.reliable_cfg.scan_period_us);
+  f("fast_retx_guard_us", c.reliable_cfg.fast_retx_guard_us);
+  f("max_in_flight", c.reliable_cfg.max_in_flight);
+  f("max_ooo_buffered", c.reliable_cfg.max_ooo_buffered);
+  f("sack", c.reliable_cfg.sack);
+  f("max_sack_ranges", c.reliable_cfg.max_sack_ranges);
+  f("adaptive_rto", c.reliable_cfg.adaptive_rto);
+  f("min_rto_us", c.reliable_cfg.min_rto_us);
+  f("codec", c.codec);
+  f("socket_processes", c.socket.processes);
+  f("socket_hosts", c.socket.hosts);
+  f("socket_connect_timeout_ms", c.socket.connect_timeout_ms);
+  f("socket_mesh_token", c.socket.mesh_token);
+  f("socket_supervise", c.socket.supervise);
+  f("socket_max_respawns", c.socket.max_respawns);
+  f("socket_kill_rank", c.socket.kill_rank);
+  f("socket_kill_after_ms", c.socket.kill_after_ms);
+  f("socket_outbound_budget", c.socket.outbound_budget);
+  f("socket_stall_rank", c.socket.stall_rank);
+  f("socket_stall_peer", c.socket.stall_peer);
+  f("socket_stall_at_ms", c.socket.stall_at_ms);
+  f("socket_stall_len_ms", c.socket.stall_len_ms);
+  f("fuzz_corrupt_p", c.fuzz.corrupt_p);
+  f("fuzz_replay_p", c.fuzz.replay_p);
+  f("fuzz_max_capture_bytes", c.fuzz.max_capture_bytes);
 }
-void put(std::ostringstream& o, const char* k, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  o << k << ' ' << buf << '\n';
+
+using HostList = std::vector<runtime::Endpoint>;
+
+/// One `key value` line. Integers travel as unsigned decimal (a negative
+/// value such as kill_rank -1 wraps, and get() wraps it back), doubles as
+/// %.17g so they round-trip exactly. An empty trace path or host list is
+/// left out; neither can contain whitespace (the CLI rejects such trace
+/// paths, and "h1:p1,h2:p2" has none by construction).
+template <class T>
+void put(std::ostringstream& o, const char* k, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (!v.empty()) o << k << ' ' << v << '\n';
+  } else if constexpr (std::is_same_v<T, HostList>) {
+    if (!v.empty()) o << k << ' ' << runtime::format_host_list(v) << '\n';
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    o << k << ' ' << buf << '\n';
+  } else if constexpr (std::is_signed_v<T>) {
+    o << k << ' ' << static_cast<std::uint64_t>(static_cast<std::int64_t>(v)) << '\n';
+  } else {
+    o << k << ' ' << static_cast<std::uint64_t>(v) << '\n';
+  }
+}
+
+template <class T>
+bool get(const std::string& val, T& m, std::string* err) {
+  const std::uint64_t u = std::strtoull(val.c_str(), nullptr, 10);
+  if constexpr (std::is_same_v<T, std::string>) {
+    m = val;
+  } else if constexpr (std::is_same_v<T, HostList>) {
+    return runtime::parse_host_list(val, &m, err);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    m = std::atof(val.c_str());
+  } else if constexpr (std::is_same_v<T, bool>) {
+    m = u != 0;
+  } else if constexpr (std::is_signed_v<T>) {
+    m = static_cast<T>(static_cast<std::int64_t>(u));
+  } else {
+    m = static_cast<T>(u);
+  }
+  return true;
 }
 
 }  // namespace
@@ -54,99 +177,7 @@ void put(std::ostringstream& o, const char* k, double v) {
 std::string encode_experiment_config(const ExperimentConfig& c) {
   std::ostringstream o;
   put(o, "cfgver", kConfigCodecVersion);  // must stay the first line
-  put(o, "system", static_cast<std::uint64_t>(c.system == proto::System::kBpr ? 1 : 0));
-  put(o, "worker_threads", static_cast<std::uint64_t>(c.worker_threads));
-  put(o, "num_dcs", static_cast<std::uint64_t>(c.num_dcs));
-  put(o, "num_partitions", static_cast<std::uint64_t>(c.num_partitions));
-  put(o, "replication", static_cast<std::uint64_t>(c.replication));
-  put(o, "ops_per_tx", static_cast<std::uint64_t>(c.workload.ops_per_tx));
-  put(o, "writes_per_tx", static_cast<std::uint64_t>(c.workload.writes_per_tx));
-  put(o, "partitions_per_tx", static_cast<std::uint64_t>(c.workload.partitions_per_tx));
-  put(o, "multi_dc_ratio", c.workload.multi_dc_ratio);
-  put(o, "keys_per_partition", c.workload.keys_per_partition);
-  put(o, "zipf_theta", c.workload.zipf_theta);
-  put(o, "value_size", static_cast<std::uint64_t>(c.workload.value_size));
-  put(o, "key_dist", static_cast<std::uint64_t>(c.workload.key_dist));
-  put(o, "hot_key_frac", c.workload.hot_key_frac);
-  put(o, "hot_access_frac", c.workload.hot_access_frac);
-  put(o, "openloop_enabled", static_cast<std::uint64_t>(c.openloop.enabled));
-  put(o, "arrival_rate", c.openloop.arrival_rate);
-  put(o, "openloop_sessions", static_cast<std::uint64_t>(c.openloop.sessions));
-  put(o, "rate_profile", static_cast<std::uint64_t>(c.openloop.profile));
-  put(o, "diurnal_amp", c.openloop.diurnal_amp);
-  put(o, "diurnal_period_us", c.openloop.diurnal_period_us);
-  put(o, "flash_mult", c.openloop.flash_mult);
-  put(o, "flash_at_us", c.openloop.flash_at_us);
-  put(o, "flash_len_us", c.openloop.flash_len_us);
-  // Single-token line: trace paths with whitespace are rejected up front by
-  // the CLI, so the token-stream decoder below stays trivial.
-  if (!c.openloop.trace_path.empty()) o << "trace_path " << c.openloop.trace_path << '\n';
-  put(o, "threads_per_process", static_cast<std::uint64_t>(c.threads_per_process));
-  put(o, "warmup_us", static_cast<std::uint64_t>(c.warmup_us));
-  put(o, "measure_us", static_cast<std::uint64_t>(c.measure_us));
-  put(o, "seed", c.seed);
-  put(o, "check_consistency", static_cast<std::uint64_t>(c.check_consistency));
-  put(o, "measure_visibility", static_cast<std::uint64_t>(c.measure_visibility));
-  put(o, "visibility_sample_shift", static_cast<std::uint64_t>(c.visibility_sample_shift));
-  put(o, "delta_r_us", static_cast<std::uint64_t>(c.protocol.delta_r_us));
-  put(o, "delta_g_us", static_cast<std::uint64_t>(c.protocol.delta_g_us));
-  put(o, "delta_u_us", static_cast<std::uint64_t>(c.protocol.delta_u_us));
-  put(o, "gc_interval_us", static_cast<std::uint64_t>(c.protocol.gc_interval_us));
-  put(o, "tree_fanout", static_cast<std::uint64_t>(c.protocol.tree_fanout));
-  put(o, "ntp_error_us", static_cast<std::uint64_t>(c.protocol.ntp_error_us));
-  put(o, "drift_ppm", c.protocol.drift_ppm);
-  put(o, "bpr_gc_retention_us", static_cast<std::uint64_t>(c.protocol.bpr_gc_retention_us));
-  put(o, "tx_context_timeout_us",
-      static_cast<std::uint64_t>(c.protocol.tx_context_timeout_us));
-  put(o, "placement_policy", static_cast<std::uint64_t>(c.protocol.placement_policy));
-  put(o, "sketch_capacity", static_cast<std::uint64_t>(c.protocol.sketch_capacity));
-  put(o, "sketch_report_period_us",
-      static_cast<std::uint64_t>(c.protocol.sketch_report_period_us));
-  put(o, "migrate_top_k", static_cast<std::uint64_t>(c.protocol.migrate_top_k));
-  put(o, "migrate_at_us", static_cast<std::uint64_t>(c.protocol.migrate_at_us));
-  put(o, "migrate_fault_skip_copy",
-      static_cast<std::uint64_t>(c.protocol.migrate_fault_skip_copy));
-  put(o, "aws_latency", static_cast<std::uint64_t>(c.aws_latency));
-  put(o, "uniform_inter_dc_us", c.uniform_inter_dc_us);
-  put(o, "uniform_intra_dc_us", c.uniform_intra_dc_us);
-  put(o, "latency_model", static_cast<std::uint64_t>(c.latency_model));
-  put(o, "reliable", static_cast<std::uint64_t>(c.reliable));
-  put(o, "rto_us", c.reliable_cfg.rto_us);
-  put(o, "max_rto_us", c.reliable_cfg.max_rto_us);
-  put(o, "scan_period_us", c.reliable_cfg.scan_period_us);
-  put(o, "fast_retx_guard_us", c.reliable_cfg.fast_retx_guard_us);
-  put(o, "max_in_flight", c.reliable_cfg.max_in_flight);
-  put(o, "max_ooo_buffered", static_cast<std::uint64_t>(c.reliable_cfg.max_ooo_buffered));
-  put(o, "sack", static_cast<std::uint64_t>(c.reliable_cfg.sack));
-  put(o, "max_sack_ranges", static_cast<std::uint64_t>(c.reliable_cfg.max_sack_ranges));
-  put(o, "adaptive_rto", static_cast<std::uint64_t>(c.reliable_cfg.adaptive_rto));
-  put(o, "min_rto_us", c.reliable_cfg.min_rto_us);
-  put(o, "codec", static_cast<std::uint64_t>(c.codec));
-  put(o, "socket_processes", static_cast<std::uint64_t>(c.socket.processes));
-  put(o, "socket_base_port", static_cast<std::uint64_t>(c.socket.base_port));
-  // Single token: "h1:p1,h2:p2,..." has no whitespace by construction.
-  if (!c.socket.hosts.empty()) {
-    o << "socket_hosts " << runtime::format_host_list(c.socket.hosts) << '\n';
-  }
-  put(o, "socket_connect_timeout_ms", c.socket.connect_timeout_ms);
-  put(o, "socket_mesh_token", c.socket.mesh_token);
-  put(o, "socket_supervise", static_cast<std::uint64_t>(c.socket.supervise));
-  put(o, "socket_max_respawns", static_cast<std::uint64_t>(c.socket.max_respawns));
-  // -1 (no scheduled kill) survives the unsigned line format: strtoull
-  // negates a leading '-' and the cast back recovers the value.
-  put(o, "socket_kill_rank",
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(c.socket.kill_rank)));
-  put(o, "socket_kill_after_ms", c.socket.kill_after_ms);
-  put(o, "socket_outbound_budget", c.socket.outbound_budget);
-  put(o, "socket_stall_rank",
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(c.socket.stall_rank)));
-  put(o, "socket_stall_peer", static_cast<std::uint64_t>(c.socket.stall_peer));
-  put(o, "socket_stall_at_ms", c.socket.stall_at_ms);
-  put(o, "socket_stall_len_ms", c.socket.stall_len_ms);
-  put(o, "fuzz_corrupt_p", c.fuzz.corrupt_p);
-  put(o, "fuzz_replay_p", c.fuzz.replay_p);
-  put(o, "fuzz_seed", c.fuzz.seed);
-  put(o, "fuzz_max_capture_bytes", static_cast<std::uint64_t>(c.fuzz.max_capture_bytes));
+  config_fields([&o](const char* k, const auto& v) { put(o, k, v); }, c);
   for (const proto::MembershipEvent& ev : c.membership.events) {
     o << "membership_event " << (ev.join ? 1 : 0) << ' ' << ev.rank << ' ' << ev.at_ms
       << '\n';
@@ -224,171 +255,16 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       if (err != nullptr) *err = "config key '" + key + "' has no value (truncated file?)";
       return false;
     }
-    const std::uint64_t u = std::strtoull(val.c_str(), nullptr, 10);
-    const double d = std::atof(val.c_str());
-    if (key == "system") {
-      c.system = u != 0 ? proto::System::kBpr : proto::System::kParis;
-    } else if (key == "worker_threads") {
-      c.worker_threads = static_cast<std::uint32_t>(u);
-    } else if (key == "num_dcs") {
-      c.num_dcs = static_cast<std::uint32_t>(u);
-    } else if (key == "num_partitions") {
-      c.num_partitions = static_cast<std::uint32_t>(u);
-    } else if (key == "replication") {
-      c.replication = static_cast<std::uint32_t>(u);
-    } else if (key == "ops_per_tx") {
-      c.workload.ops_per_tx = static_cast<std::uint32_t>(u);
-    } else if (key == "writes_per_tx") {
-      c.workload.writes_per_tx = static_cast<std::uint32_t>(u);
-    } else if (key == "partitions_per_tx") {
-      c.workload.partitions_per_tx = static_cast<std::uint32_t>(u);
-    } else if (key == "multi_dc_ratio") {
-      c.workload.multi_dc_ratio = d;
-    } else if (key == "keys_per_partition") {
-      c.workload.keys_per_partition = u;
-    } else if (key == "zipf_theta") {
-      c.workload.zipf_theta = d;
-    } else if (key == "value_size") {
-      c.workload.value_size = static_cast<std::uint32_t>(u);
-    } else if (key == "key_dist") {
-      c.workload.key_dist = static_cast<KeyDistKind>(u);
-    } else if (key == "hot_key_frac") {
-      c.workload.hot_key_frac = d;
-    } else if (key == "hot_access_frac") {
-      c.workload.hot_access_frac = d;
-    } else if (key == "openloop_enabled") {
-      c.openloop.enabled = u != 0;
-    } else if (key == "arrival_rate") {
-      c.openloop.arrival_rate = d;
-    } else if (key == "openloop_sessions") {
-      c.openloop.sessions = static_cast<std::uint32_t>(u);
-    } else if (key == "rate_profile") {
-      c.openloop.profile = static_cast<RateProfile>(u);
-    } else if (key == "diurnal_amp") {
-      c.openloop.diurnal_amp = d;
-    } else if (key == "diurnal_period_us") {
-      c.openloop.diurnal_period_us = u;
-    } else if (key == "flash_mult") {
-      c.openloop.flash_mult = d;
-    } else if (key == "flash_at_us") {
-      c.openloop.flash_at_us = u;
-    } else if (key == "flash_len_us") {
-      c.openloop.flash_len_us = u;
-    } else if (key == "trace_path") {
-      c.openloop.trace_path = val;
-    } else if (key == "threads_per_process") {
-      c.threads_per_process = static_cast<std::uint32_t>(u);
-    } else if (key == "warmup_us") {
-      c.warmup_us = u;
-    } else if (key == "measure_us") {
-      c.measure_us = u;
-    } else if (key == "seed") {
-      c.seed = u;
-    } else if (key == "check_consistency") {
-      c.check_consistency = u != 0;
-    } else if (key == "measure_visibility") {
-      c.measure_visibility = u != 0;
-    } else if (key == "visibility_sample_shift") {
-      c.visibility_sample_shift = static_cast<std::uint32_t>(u);
-    } else if (key == "delta_r_us") {
-      c.protocol.delta_r_us = u;
-    } else if (key == "delta_g_us") {
-      c.protocol.delta_g_us = u;
-    } else if (key == "delta_u_us") {
-      c.protocol.delta_u_us = u;
-    } else if (key == "gc_interval_us") {
-      c.protocol.gc_interval_us = u;
-    } else if (key == "tree_fanout") {
-      c.protocol.tree_fanout = static_cast<std::uint32_t>(u);
-    } else if (key == "ntp_error_us") {
-      c.protocol.ntp_error_us = static_cast<std::int64_t>(u);
-    } else if (key == "drift_ppm") {
-      c.protocol.drift_ppm = d;
-    } else if (key == "bpr_gc_retention_us") {
-      c.protocol.bpr_gc_retention_us = u;
-    } else if (key == "tx_context_timeout_us") {
-      c.protocol.tx_context_timeout_us = u;
-    } else if (key == "placement_policy") {
-      c.protocol.placement_policy = static_cast<std::uint8_t>(u);
-    } else if (key == "sketch_capacity") {
-      c.protocol.sketch_capacity = static_cast<std::uint32_t>(u);
-    } else if (key == "sketch_report_period_us") {
-      c.protocol.sketch_report_period_us = u;
-    } else if (key == "migrate_top_k") {
-      c.protocol.migrate_top_k = static_cast<std::uint32_t>(u);
-    } else if (key == "migrate_at_us") {
-      c.protocol.migrate_at_us = u;
-    } else if (key == "migrate_fault_skip_copy") {
-      c.protocol.migrate_fault_skip_copy = u != 0;
-    } else if (key == "aws_latency") {
-      c.aws_latency = u != 0;
-    } else if (key == "uniform_inter_dc_us") {
-      c.uniform_inter_dc_us = u;
-    } else if (key == "uniform_intra_dc_us") {
-      c.uniform_intra_dc_us = u;
-    } else if (key == "latency_model") {
-      c.latency_model = static_cast<runtime::LatencyModelKind>(u);
-    } else if (key == "reliable") {
-      c.reliable = u != 0;
-    } else if (key == "rto_us") {
-      c.reliable_cfg.rto_us = u;
-    } else if (key == "max_rto_us") {
-      c.reliable_cfg.max_rto_us = u;
-    } else if (key == "scan_period_us") {
-      c.reliable_cfg.scan_period_us = u;
-    } else if (key == "fast_retx_guard_us") {
-      c.reliable_cfg.fast_retx_guard_us = u;
-    } else if (key == "max_in_flight") {
-      c.reliable_cfg.max_in_flight = u;
-    } else if (key == "max_ooo_buffered") {
-      c.reliable_cfg.max_ooo_buffered = u;
-    } else if (key == "sack") {
-      c.reliable_cfg.sack = u != 0;
-    } else if (key == "max_sack_ranges") {
-      c.reliable_cfg.max_sack_ranges = u;
-    } else if (key == "adaptive_rto") {
-      c.reliable_cfg.adaptive_rto = u != 0;
-    } else if (key == "min_rto_us") {
-      c.reliable_cfg.min_rto_us = u;
-    } else if (key == "codec") {
-      c.codec = static_cast<sim::CodecMode>(u);
-    } else if (key == "socket_processes") {
-      c.socket.processes = static_cast<std::uint32_t>(u);
-    } else if (key == "socket_base_port") {
-      c.socket.base_port = static_cast<std::uint16_t>(u);
-    } else if (key == "socket_hosts") {
-      if (!runtime::parse_host_list(val, &c.socket.hosts, err)) return false;
-    } else if (key == "socket_connect_timeout_ms") {
-      c.socket.connect_timeout_ms = u;
-    } else if (key == "socket_mesh_token") {
-      c.socket.mesh_token = u;
-    } else if (key == "socket_supervise") {
-      c.socket.supervise = u != 0;
-    } else if (key == "socket_max_respawns") {
-      c.socket.max_respawns = static_cast<std::uint32_t>(u);
-    } else if (key == "socket_kill_rank") {
-      c.socket.kill_rank = static_cast<std::int32_t>(static_cast<std::int64_t>(u));
-    } else if (key == "socket_kill_after_ms") {
-      c.socket.kill_after_ms = u;
-    } else if (key == "socket_outbound_budget") {
-      c.socket.outbound_budget = u;
-    } else if (key == "socket_stall_rank") {
-      c.socket.stall_rank = static_cast<std::int32_t>(static_cast<std::int64_t>(u));
-    } else if (key == "socket_stall_peer") {
-      c.socket.stall_peer = static_cast<std::uint32_t>(u);
-    } else if (key == "socket_stall_at_ms") {
-      c.socket.stall_at_ms = u;
-    } else if (key == "socket_stall_len_ms") {
-      c.socket.stall_len_ms = u;
-    } else if (key == "fuzz_corrupt_p") {
-      c.fuzz.corrupt_p = d;
-    } else if (key == "fuzz_replay_p") {
-      c.fuzz.replay_p = d;
-    } else if (key == "fuzz_seed") {
-      c.fuzz.seed = u;
-    } else if (key == "fuzz_max_capture_bytes") {
-      c.fuzz.max_capture_bytes = static_cast<std::uint32_t>(u);
-    } else {
+    bool known = false, ok = true;
+    config_fields(
+        [&](const char* k, auto& m) {
+          if (known || key != k) return;
+          known = true;
+          ok = get(val, m, err);
+        },
+        c);
+    if (!ok) return false;
+    if (!known) {
       // Same cfgver should mean the same key set, so reaching here suggests
       // a forgotten version bump — still refuse, a silently-dropped field
       // would make this child run a DIFFERENT experiment than the launcher.
@@ -409,36 +285,56 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
 
 namespace {
 
-constexpr std::uint32_t kResultMagic = 0x50534b31;  // "PSK1"
+/// Bump with any change to ExperimentResult::fields (a field added, removed
+/// or reordered, or a type changed): a child from another build then fails
+/// the magic check instead of misparsing.
+constexpr std::uint32_t kResultMagic = 0x50534b32;  // "PSK2"
 /// Literal end-of-file marker: a truncated result file (partial flush,
 /// child killed mid-write) loses it, so decode can reject gracefully
 /// instead of tripping the Decoder's abort-on-truncation checks mid-blob.
 constexpr std::uint8_t kResultTrailer[4] = {'P', 'S', 'K', '$'};
 
-void put_hist(wire::Encoder& e, const stats::Histogram& h) {
-  const auto r = h.raw();
-  e.put_varint(r.count);
-  e.put_varint(r.sum);
-  e.put_varint(r.min);
-  e.put_varint(r.max);
-  e.put_varint(r.buckets.size());
-  for (const auto& [idx, n] : r.buckets) {
-    e.put_varint(idx);
-    e.put_varint(n);
+/// One listed result field: counters as varints, doubles by their bits,
+/// histograms as their raw buckets.
+template <class T>
+void put_field(wire::Encoder& e, const T& v) {
+  if constexpr (std::is_same_v<T, stats::Histogram>) {
+    const auto r = v.raw();
+    e.put_varint(r.count);
+    e.put_varint(r.sum);
+    e.put_varint(r.min);
+    e.put_varint(r.max);
+    e.put_varint(r.buckets.size());
+    for (const auto& [idx, n] : r.buckets) {
+      e.put_varint(idx);
+      e.put_varint(n);
+    }
+  } else if constexpr (std::is_floating_point_v<T>) {
+    e.put_varint(std::bit_cast<std::uint64_t>(v));
+  } else {
+    e.put_varint(v);
   }
 }
 
-void get_hist(wire::Decoder& d, stats::Histogram& h) {
-  stats::Histogram::Raw r;
-  r.count = d.get_varint();
-  r.sum = d.get_varint();
-  r.min = d.get_varint();
-  r.max = d.get_varint();
-  for (std::uint64_t i = 0, n = d.get_varint(); i < n; ++i) {
-    const auto idx = static_cast<std::uint32_t>(d.get_varint());
-    r.buckets.emplace_back(idx, d.get_varint());
+template <class T>
+void get_field(wire::Decoder& d, T& v) {
+  if constexpr (std::is_same_v<T, stats::Histogram>) {
+    stats::Histogram::Raw r;
+    r.count = d.get_varint();
+    r.sum = d.get_varint();
+    r.min = d.get_varint();
+    r.max = d.get_varint();
+    for (std::uint64_t i = 0, n = d.get_varint(); i < n; ++i) {
+      const auto idx = static_cast<std::uint32_t>(d.get_varint());
+      r.buckets.emplace_back(idx, d.get_varint());
+    }
+    v = stats::Histogram();
+    v.merge_raw(r);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = std::bit_cast<T>(d.get_varint());
+  } else {
+    v = static_cast<T>(d.get_varint());
   }
-  h.merge_raw(r);
 }
 
 std::string read_file(const std::string& path) {
@@ -470,85 +366,7 @@ void encode_child_result(const ExperimentResult& res,
                          std::vector<std::uint8_t>& out) {
   wire::Encoder e(out);
   e.put_varint(kResultMagic);
-  e.put_varint(res.committed);
-  put_hist(e, res.latency_hist);
-  put_hist(e, res.latency_local_hist);
-  put_hist(e, res.latency_multi_hist);
-  put_hist(e, res.visibility_hist);
-  e.put_varint(res.blocked_reads);
-  e.put_varint(static_cast<std::uint64_t>(res.avg_block_ms * 1000.0 *
-                                          static_cast<double>(res.blocked_reads)));
-  e.put_varint(res.gossip_msgs);
-  e.put_varint(res.keys_read);
-  e.put_varint(res.local_hits);
-  e.put_varint(res.max_client_cache);
-  e.put_varint(res.sim_events);
-  e.put_varint(res.bytes_sent);
-  e.put_varint(res.link.shaped);
-  e.put_varint(res.link.dropped);
-  e.put_varint(res.link.duplicated);
-  e.put_varint(res.link.stalled);
-  e.put_varint(res.link.bw_queued);
-  e.put_varint(res.link.bw_wait_us);
-  e.put_varint(res.reliable.frames_sent);
-  e.put_varint(res.reliable.retransmits);
-  e.put_varint(res.reliable.fast_retransmits);
-  e.put_varint(res.reliable.acks_sent);
-  e.put_varint(res.reliable.dup_frames);
-  e.put_varint(res.reliable.ooo_frames);
-  e.put_varint(res.reliable.stale_acks);
-  e.put_varint(res.reliable.coalesced);
-  e.put_varint(res.reliable.sacked_skips);
-  e.put_varint(res.reliable.malformed_acks);
-  e.put_varint(res.reliable.rtt_samples);
-  e.put_varint(res.socket.frames_out);
-  e.put_varint(res.socket.frames_in);
-  e.put_varint(res.socket.bytes_out);
-  e.put_varint(res.socket.bytes_in);
-  e.put_varint(res.socket.partial_reads);
-  e.put_varint(res.socket.short_writes);
-  e.put_varint(res.socket.reconnects);
-  e.put_varint(res.socket.dropped_dead);
-  e.put_varint(res.socket.redial_attempts);
-  e.put_varint(res.socket.redial_giveups);
-  e.put_varint(res.socket.fenced_stale_epoch);
-  e.put_varint(res.socket.malformed_frames);
-  e.put_varint(res.reliable.channel_resets);
-  e.put_varint(res.reliable.fenced_frames);
-  e.put_varint(res.snapshots_served);
-  e.put_varint(res.catchups_served);
-  e.put_varint(res.prepared_fenced);
-  e.put_varint(res.recovery_ms);
-  e.put_varint(res.socket.read_syscalls);
-  e.put_varint(res.socket.write_syscalls);
-  e.put_varint(res.socket.flushes);
-  e.put_varint(res.socket.backpressure_stalls);
-  e.put_varint(res.socket.backpressure_drops);
-  e.put_varint(res.fuzz.mutated);
-  e.put_varint(res.fuzz.flips);
-  e.put_varint(res.fuzz.truncations);
-  e.put_varint(res.fuzz.splices);
-  e.put_varint(res.fuzz.rejected_validate);
-  e.put_varint(res.fuzz.accepted_validate);
-  e.put_varint(res.fuzz.replays);
-  e.put_varint(res.fuzz.captured);
-  e.put_varint(res.scheduled);
-  e.put_varint(res.overdue);
-  e.put_varint(res.max_backlog);
-  e.put_varint(res.workload_digest);
-  put_hist(e, res.intended_hist);
-  put_hist(e, res.service_hist);
-  e.put_varint(res.keys_migrated);
-  e.put_varint(res.migrate_parked);
-  e.put_varint(res.migrate_chains_sent);
-  e.put_varint(res.migrate_chains_installed);
-  e.put_varint(res.sketch_reports);
-  // Placement scores ride as fixed-point x1e6 (same convention as the
-  // server stats they came from).
-  e.put_varint(static_cast<std::uint64_t>(res.replicate_factor_before * 1e6 + 0.5));
-  e.put_varint(static_cast<std::uint64_t>(res.replicate_factor_after * 1e6 + 0.5));
-  e.put_varint(static_cast<std::uint64_t>(res.load_rel_stddev_before * 1e6 + 0.5));
-  e.put_varint(static_cast<std::uint64_t>(res.load_rel_stddev_after * 1e6 + 0.5));
+  ExperimentResult::fields([&e](const char*, Merge, const auto& v) { put_field(e, v); }, res);
   e.put_blob(history);
   out.insert(out.end(), kResultTrailer, kResultTrailer + sizeof(kResultTrailer));
 }
@@ -565,88 +383,35 @@ bool decode_child_result(const std::vector<std::uint8_t>& in, ExperimentResult& 
   }
   wire::Decoder d(in.data(), in.size() - sizeof(kResultTrailer));
   if (d.get_varint() != kResultMagic) return false;
-  res.committed = d.get_varint();
-  get_hist(d, res.latency_hist);
-  get_hist(d, res.latency_local_hist);
-  get_hist(d, res.latency_multi_hist);
-  get_hist(d, res.visibility_hist);
-  res.blocked_reads = d.get_varint();
-  const std::uint64_t blocked_time_us = d.get_varint();
-  res.avg_block_ms = res.blocked_reads != 0
-                         ? static_cast<double>(blocked_time_us) /
-                               static_cast<double>(res.blocked_reads) / 1000.0
-                         : 0.0;
-  res.gossip_msgs = d.get_varint();
-  res.keys_read = d.get_varint();
-  res.local_hits = d.get_varint();
-  res.max_client_cache = d.get_varint();
-  res.sim_events = d.get_varint();
-  res.bytes_sent = d.get_varint();
-  res.link.shaped = d.get_varint();
-  res.link.dropped = d.get_varint();
-  res.link.duplicated = d.get_varint();
-  res.link.stalled = d.get_varint();
-  res.link.bw_queued = d.get_varint();
-  res.link.bw_wait_us = d.get_varint();
-  res.reliable.frames_sent = d.get_varint();
-  res.reliable.retransmits = d.get_varint();
-  res.reliable.fast_retransmits = d.get_varint();
-  res.reliable.acks_sent = d.get_varint();
-  res.reliable.dup_frames = d.get_varint();
-  res.reliable.ooo_frames = d.get_varint();
-  res.reliable.stale_acks = d.get_varint();
-  res.reliable.coalesced = d.get_varint();
-  res.reliable.sacked_skips = d.get_varint();
-  res.reliable.malformed_acks = d.get_varint();
-  res.reliable.rtt_samples = d.get_varint();
-  res.socket.frames_out = d.get_varint();
-  res.socket.frames_in = d.get_varint();
-  res.socket.bytes_out = d.get_varint();
-  res.socket.bytes_in = d.get_varint();
-  res.socket.partial_reads = d.get_varint();
-  res.socket.short_writes = d.get_varint();
-  res.socket.reconnects = d.get_varint();
-  res.socket.dropped_dead = d.get_varint();
-  res.socket.redial_attempts = d.get_varint();
-  res.socket.redial_giveups = d.get_varint();
-  res.socket.fenced_stale_epoch = d.get_varint();
-  res.socket.malformed_frames = d.get_varint();
-  res.reliable.channel_resets = d.get_varint();
-  res.reliable.fenced_frames = d.get_varint();
-  res.snapshots_served = d.get_varint();
-  res.catchups_served = d.get_varint();
-  res.prepared_fenced = d.get_varint();
-  res.recovery_ms = d.get_varint();
-  res.socket.read_syscalls = d.get_varint();
-  res.socket.write_syscalls = d.get_varint();
-  res.socket.flushes = d.get_varint();
-  res.socket.backpressure_stalls = d.get_varint();
-  res.socket.backpressure_drops = d.get_varint();
-  res.fuzz.mutated = d.get_varint();
-  res.fuzz.flips = d.get_varint();
-  res.fuzz.truncations = d.get_varint();
-  res.fuzz.splices = d.get_varint();
-  res.fuzz.rejected_validate = d.get_varint();
-  res.fuzz.accepted_validate = d.get_varint();
-  res.fuzz.replays = d.get_varint();
-  res.fuzz.captured = d.get_varint();
-  res.scheduled = d.get_varint();
-  res.overdue = d.get_varint();
-  res.max_backlog = d.get_varint();
-  res.workload_digest = d.get_varint();
-  get_hist(d, res.intended_hist);
-  get_hist(d, res.service_hist);
-  res.keys_migrated = d.get_varint();
-  res.migrate_parked = d.get_varint();
-  res.migrate_chains_sent = d.get_varint();
-  res.migrate_chains_installed = d.get_varint();
-  res.sketch_reports = d.get_varint();
-  res.replicate_factor_before = static_cast<double>(d.get_varint()) / 1e6;
-  res.replicate_factor_after = static_cast<double>(d.get_varint()) / 1e6;
-  res.load_rel_stddev_before = static_cast<double>(d.get_varint()) / 1e6;
-  res.load_rel_stddev_after = static_cast<double>(d.get_varint()) / 1e6;
+  ExperimentResult::fields([&d](const char*, Merge, auto& v) { get_field(d, v); }, res);
   d.get_blob_into(history);
   return d.done();
+}
+
+ExperimentResult merge_child_results(const std::vector<ExperimentResult>& parts,
+                                     const ExperimentConfig& cfg) {
+  ExperimentResult res;
+  for (const ExperimentResult& part : parts) merge_fields(res, part);
+  const double window_s = static_cast<double>(cfg.measure_us) / 1e6;
+  res.throughput_tx_s =
+      window_s > 0 ? static_cast<double>(res.committed) / window_s : 0.0;
+  res.latency_us = stats::Summary::of(res.latency_hist);
+  if (cfg.openloop.enabled) {
+    res.intended_rate_tx_s =
+        window_s > 0 ? static_cast<double>(res.scheduled) / window_s : 0.0;
+    res.achieved_rate_tx_s = res.throughput_tx_s;
+    res.intended_us = stats::Summary::of(res.intended_hist);
+    res.service_us = stats::Summary::of(res.service_hist);
+  }
+  res.avg_block_ms = res.blocked_reads != 0
+                         ? static_cast<double>(res.blocked_time_us) /
+                               static_cast<double>(res.blocked_reads) / 1000.0
+                         : 0.0;
+  res.local_hit_rate =
+      res.keys_read != 0
+          ? static_cast<double>(res.local_hits) / static_cast<double>(res.keys_read)
+          : 0.0;
+  return res;
 }
 
 // ---------------------------------------------------------------------------
@@ -665,19 +430,23 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
   const std::uint32_t nprocs = cfg.socket.resolve_processes(cfg.num_dcs);
   PARIS_CHECK_MSG(nprocs >= 1 && nprocs <= cfg.num_dcs,
                   "sockets: --processes must be in [1, dcs] (ownership is dc %% processes)");
-  std::vector<runtime::Endpoint> hosts;
-  if (cfg.socket.hosts.empty()) {
-    // Deprecated --listen-base-port path: the expansion itself needs the
-    // whole contiguous port range to fit.
-    PARIS_CHECK_MSG(static_cast<std::uint32_t>(cfg.socket.base_port) + nprocs - 1 <= 65535,
-                    "sockets: --listen-base-port + processes overflows the port range");
-    hosts = runtime::loopback_host_list(nprocs, cfg.socket.base_port);
-  } else {
-    std::string host_err;
-    PARIS_CHECK_MSG(runtime::validate_host_list(cfg.socket.hosts, nprocs, &host_err),
-                    host_err.c_str());
-    hosts = cfg.socket.hosts;
+  // Every mesh gets a distinct hello token so two concurrent runs sharing
+  // a port range reject each other's connections instead of silently
+  // cross-wiring their clusters. Without a host list, each rank listens on
+  // a free loopback port, chosen here once: children (and respawns) read
+  // the list from the config file.
+  ExperimentConfig child_cfg = cfg;
+  if (child_cfg.socket.mesh_token == 0) {
+    child_cfg.socket.mesh_token =
+        (static_cast<std::uint64_t>(getpid()) << 32) ^ splitmix64(cfg.seed + 1);
   }
+  std::vector<runtime::Endpoint>& hosts = child_cfg.socket.hosts;
+  if (hosts.empty()) {
+    hosts = runtime::free_loopback_host_list(nprocs);
+    PARIS_CHECK_MSG(!hosts.empty(), "sockets: no free loopback ports for the children");
+  }
+  std::string host_err;
+  PARIS_CHECK_MSG(runtime::validate_host_list(hosts, nprocs, &host_err), host_err.c_str());
 
   std::string dir = cfg.socket.dir;
   if (dir.empty()) {
@@ -693,14 +462,6 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
     (void)::mkdir(dir.c_str(), 0755);  // fine if any component already exists
   }
 
-  // Every mesh gets a distinct hello token so two concurrent runs sharing
-  // a port range reject each other's connections instead of silently
-  // cross-wiring their clusters.
-  ExperimentConfig child_cfg = cfg;
-  if (child_cfg.socket.mesh_token == 0) {
-    child_cfg.socket.mesh_token =
-        (static_cast<std::uint64_t>(getpid()) << 32) ^ splitmix64(cfg.seed + 1);
-  }
   const std::string cfgfile = dir + "/experiment.cfg";
   const std::string cfgtext = encode_experiment_config(child_cfg);
   PARIS_CHECK_MSG(write_file(cfgfile, cfgtext.data(), cfgtext.size()),
@@ -722,7 +483,6 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
               cfg.socket.supervise ? ", supervised" : "", dir.c_str());
   std::fflush(stdout);
 
-  ExperimentResult res;
   const std::uint64_t run_ms = (cfg.warmup_us + cfg.measure_us) / 1000;
   std::string err;
   // Generous deadline: mesh setup + 3x the run (sanitizer builds crawl) +
@@ -733,6 +493,7 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
       cfg.socket.connect_timeout_ms + run_ms * 3 + 60'000 +
       (cfg.socket.supervise ? run_ms * 3 + cfg.socket.kill_after_ms : 0);
   bool ok;
+  std::uint64_t respawns = 0;
   if (cfg.socket.supervise) {
     runtime::ProcessGroup::SuperviseOptions sup;
     sup.max_respawns = cfg.socket.max_respawns;
@@ -752,131 +513,33 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
           {static_cast<std::uint32_t>(cfg.socket.kill_rank), cfg.socket.kill_after_ms, false});
     }
     ok = pg.wait_supervised(deadline_ms, sup, kills, err);
-    res.respawns = pg.respawns();
+    respawns = pg.respawns();
   } else {
     ok = pg.wait_all(deadline_ms, err);
   }
   if (!ok) {
     std::fprintf(stderr, "socket launcher: %s\n", err.c_str());
     for (const auto& c : pg.children()) dump_log_tail(c.log_path);
+    ExperimentResult res;
+    res.respawns = respawns;
     res.violations.push_back("socket run failed: " + err);
     return res;
   }
 
   verify::HistoryRecorder merged;
-  for (const auto& path : outfiles) {
-    const std::string bytes = read_file(path);
+  std::vector<ExperimentResult> parts(outfiles.size());
+  for (std::size_t r = 0; r < outfiles.size(); ++r) {
+    const std::string bytes = read_file(outfiles[r]);
     std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-    ExperimentResult part;
     std::vector<std::uint8_t> history;
-    PARIS_CHECK_MSG(decode_child_result(buf, part, history),
+    PARIS_CHECK_MSG(decode_child_result(buf, parts[r], history),
                     "corrupt child result file (version skew?)");
-    res.committed += part.committed;
-    res.latency_hist.merge(part.latency_hist);
-    res.latency_local_hist.merge(part.latency_local_hist);
-    res.latency_multi_hist.merge(part.latency_multi_hist);
-    res.visibility_hist.merge(part.visibility_hist);
-    res.blocked_reads += part.blocked_reads;
-    res.avg_block_ms += part.avg_block_ms * static_cast<double>(part.blocked_reads);
-    res.gossip_msgs += part.gossip_msgs;
-    res.keys_read += part.keys_read;
-    res.local_hits += part.local_hits;
-    res.max_client_cache = std::max(res.max_client_cache, part.max_client_cache);
-    res.sim_events += part.sim_events;
-    res.bytes_sent += part.bytes_sent;
-    res.link.shaped += part.link.shaped;
-    res.link.dropped += part.link.dropped;
-    res.link.duplicated += part.link.duplicated;
-    res.link.stalled += part.link.stalled;
-    res.link.bw_queued += part.link.bw_queued;
-    res.link.bw_wait_us += part.link.bw_wait_us;
-    res.reliable.frames_sent += part.reliable.frames_sent;
-    res.reliable.retransmits += part.reliable.retransmits;
-    res.reliable.fast_retransmits += part.reliable.fast_retransmits;
-    res.reliable.acks_sent += part.reliable.acks_sent;
-    res.reliable.dup_frames += part.reliable.dup_frames;
-    res.reliable.ooo_frames += part.reliable.ooo_frames;
-    res.reliable.stale_acks += part.reliable.stale_acks;
-    res.reliable.coalesced += part.reliable.coalesced;
-    res.reliable.sacked_skips += part.reliable.sacked_skips;
-    res.reliable.malformed_acks += part.reliable.malformed_acks;
-    res.reliable.rtt_samples += part.reliable.rtt_samples;
-    res.socket.frames_out += part.socket.frames_out;
-    res.socket.frames_in += part.socket.frames_in;
-    res.socket.bytes_out += part.socket.bytes_out;
-    res.socket.bytes_in += part.socket.bytes_in;
-    res.socket.partial_reads += part.socket.partial_reads;
-    res.socket.short_writes += part.socket.short_writes;
-    res.socket.reconnects += part.socket.reconnects;
-    res.socket.dropped_dead += part.socket.dropped_dead;
-    res.socket.redial_attempts += part.socket.redial_attempts;
-    res.socket.redial_giveups += part.socket.redial_giveups;
-    res.socket.fenced_stale_epoch += part.socket.fenced_stale_epoch;
-    res.socket.malformed_frames += part.socket.malformed_frames;
-    res.socket.read_syscalls += part.socket.read_syscalls;
-    res.socket.write_syscalls += part.socket.write_syscalls;
-    res.socket.flushes += part.socket.flushes;
-    res.socket.backpressure_stalls += part.socket.backpressure_stalls;
-    res.socket.backpressure_drops += part.socket.backpressure_drops;
-    res.fuzz.mutated += part.fuzz.mutated;
-    res.fuzz.flips += part.fuzz.flips;
-    res.fuzz.truncations += part.fuzz.truncations;
-    res.fuzz.splices += part.fuzz.splices;
-    res.fuzz.rejected_validate += part.fuzz.rejected_validate;
-    res.fuzz.accepted_validate += part.fuzz.accepted_validate;
-    res.fuzz.replays += part.fuzz.replays;
-    res.fuzz.captured += part.fuzz.captured;
-    res.reliable.channel_resets += part.reliable.channel_resets;
-    res.reliable.fenced_frames += part.reliable.fenced_frames;
-    res.snapshots_served += part.snapshots_served;
-    res.catchups_served += part.catchups_served;
-    res.prepared_fenced += part.prepared_fenced;
-    res.recovery_ms = std::max(res.recovery_ms, part.recovery_ms);
-    res.scheduled += part.scheduled;
-    res.overdue += part.overdue;
-    res.max_backlog = std::max(res.max_backlog, part.max_backlog);
-    // Every engine lives in exactly one child, so XOR across children equals
-    // the global XOR over all engines (the cross-runtime digest invariant).
-    res.workload_digest ^= part.workload_digest;
-    res.intended_hist.merge(part.intended_hist);
-    res.service_hist.merge(part.service_hist);
-    res.keys_migrated += part.keys_migrated;
-    res.migrate_parked += part.migrate_parked;
-    res.migrate_chains_sent += part.migrate_chains_sent;
-    res.migrate_chains_installed += part.migrate_chains_installed;
-    res.sketch_reports += part.sketch_reports;
-    // Scores are controller-only: every other child reports 0, max wins.
-    res.replicate_factor_before =
-        std::max(res.replicate_factor_before, part.replicate_factor_before);
-    res.replicate_factor_after =
-        std::max(res.replicate_factor_after, part.replicate_factor_after);
-    res.load_rel_stddev_before =
-        std::max(res.load_rel_stddev_before, part.load_rel_stddev_before);
-    res.load_rel_stddev_after =
-        std::max(res.load_rel_stddev_after, part.load_rel_stddev_after);
     if (cfg.check_consistency && !history.empty()) {
       merged.merge_serialized(history.data(), history.size());
     }
   }
-
-  const double window_s = static_cast<double>(cfg.measure_us) / 1e6;
-  res.throughput_tx_s =
-      window_s > 0 ? static_cast<double>(res.committed) / window_s : 0.0;
-  res.latency_us = stats::Summary::of(res.latency_hist);
-  if (cfg.openloop.enabled) {
-    res.intended_rate_tx_s =
-        window_s > 0 ? static_cast<double>(res.scheduled) / window_s : 0.0;
-    res.achieved_rate_tx_s = res.throughput_tx_s;
-    res.intended_us = stats::Summary::of(res.intended_hist);
-    res.service_us = stats::Summary::of(res.service_hist);
-  }
-  res.avg_block_ms = res.blocked_reads != 0
-                         ? res.avg_block_ms / static_cast<double>(res.blocked_reads)
-                         : 0.0;
-  res.local_hit_rate =
-      res.keys_read != 0
-          ? static_cast<double>(res.local_hits) / static_cast<double>(res.keys_read)
-          : 0.0;
+  ExperimentResult res = merge_child_results(parts, cfg);
+  res.respawns = respawns;
   if (cfg.check_consistency) {
     res.violations = merged.check();
     // A scheduled join whose DCs never served a single read slice means the
@@ -914,10 +577,7 @@ void maybe_run_socket_child(int argc, char** argv) {
   // respawn of a rank gets a bumped value while the siblings keep theirs.
   cfg.socket.epoch = static_cast<std::uint32_t>(std::strtoul(argv[5], nullptr, 10));
   const std::uint32_t nprocs = cfg.socket.resolve_processes(cfg.num_dcs);
-  const std::vector<runtime::Endpoint> hosts =
-      cfg.socket.hosts.empty()
-          ? runtime::loopback_host_list(nprocs, cfg.socket.base_port)
-          : cfg.socket.hosts;
+  const std::vector<runtime::Endpoint>& hosts = cfg.socket.hosts;
   PARIS_CHECK_MSG(static_cast<std::size_t>(cfg.socket.rank) < hosts.size(),
                   "socket child: rank outside the host list");
   std::printf("socket child: rank %d/%u epoch %u pid %d system=%s listen=%s\n",

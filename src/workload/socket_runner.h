@@ -55,13 +55,21 @@ std::string encode_experiment_config(const ExperimentConfig& cfg);
 bool decode_experiment_config(const std::string& text, ExperimentConfig& cfg,
                               std::string* err = nullptr);
 
-/// Binary child-result codec (wire::Encoder framing): stats + histograms +
-/// the serialized history blob.
+/// Binary child-result codec (wire::Encoder framing): every field of
+/// ExperimentResult::fields, in list order, then the serialized history
+/// blob. Decode returns false (never aborts) on a truncated file or a
+/// foreign magic, e.g. a child built from another version.
 void encode_child_result(const ExperimentResult& res,
                          const std::vector<std::uint8_t>& history,
                          std::vector<std::uint8_t>& out);
 bool decode_child_result(const std::vector<std::uint8_t>& in, ExperimentResult& res,
                          std::vector<std::uint8_t>& history);
+
+/// The launcher's view of a run: the children's results merged field by
+/// field under each field's rule, then the derived values (rates,
+/// summaries, avg_block_ms, local_hit_rate) computed from the merged ones.
+ExperimentResult merge_child_results(const std::vector<ExperimentResult>& parts,
+                                     const ExperimentConfig& cfg);
 
 }  // namespace detail
 }  // namespace paris::workload

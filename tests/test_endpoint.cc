@@ -1,7 +1,6 @@
-// Endpoint/host-list parsing tests: the cross-host addressing API that
-// replaced base_port + rank arithmetic (DESIGN §10). Covers IPv4 literals,
-// hostnames, bad ports, duplicate endpoints, count mismatch vs --processes,
-// and the back-compat loopback expansion.
+// Endpoint/host-list parsing tests: the cross-host addressing API of the
+// socket runtime (DESIGN §10). Covers IPv4 literals, hostnames, bad ports,
+// duplicate endpoints and count mismatch vs --processes.
 
 #include <gtest/gtest.h>
 
@@ -78,17 +77,6 @@ TEST(Endpoint, ValidateChecksCountAgainstProcesses) {
   EXPECT_FALSE(validate_host_list(hosts, 3, &err));
   EXPECT_NE(err.find("2 endpoints"), std::string::npos);
   EXPECT_NE(err.find("3 processes"), std::string::npos);
-}
-
-TEST(Endpoint, LoopbackExpansionMatchesLegacyArithmetic) {
-  const auto hosts = loopback_host_list(3, 7421);
-  ASSERT_EQ(hosts.size(), 3u);
-  for (std::uint32_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(hosts[r].host, "127.0.0.1");
-    EXPECT_EQ(hosts[r].port, 7421 + r);
-  }
-  std::string err;
-  EXPECT_TRUE(validate_host_list(hosts, 3, &err)) << err;
 }
 
 TEST(Endpoint, ResolvesIpv4Literal) {

@@ -50,10 +50,8 @@ namespace {
       "  --hosts=H1:P1,H2:P2,... sockets: explicit listen endpoint per rank\n"
       "                          (one entry per process, in rank order); this\n"
       "                          is how a cluster spans hosts or distinct\n"
-      "                          loopback IPs\n"
-      "  --listen-base-port=P    sockets: DEPRECATED alias for\n"
-      "                          --hosts=127.0.0.1:P,127.0.0.1:P+1,...\n"
-      "                          (default 7421 when --hosts is absent)\n"
+      "                          loopback IPs (default: one free loopback\n"
+      "                          port per rank)\n"
       "  --join-rank=R:MS        elastic membership: the DCs owned by rank R\n"
       "                          start OUTSIDE the replica sets and join MS ms\n"
       "                          into the run (snapshot + catch-up from a\n"
@@ -287,14 +285,6 @@ int main(int argc, char** argv) {
       cfg.worker_threads = static_cast<std::uint32_t>(std::atoi(v));
     } else if (parse_flag(argv[i], "--processes", &v) && v) {
       cfg.socket.processes = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (parse_flag(argv[i], "--listen-base-port", &v) && v) {
-      const long port = std::atol(v);
-      if (port <= 0 || port > 65000) {
-        std::fprintf(stderr, "error: --listen-base-port must be in [1, 65000], got '%s'\n",
-                     v);
-        return 2;
-      }
-      cfg.socket.base_port = static_cast<std::uint16_t>(port);
     } else if (parse_flag(argv[i], "--hosts", &v) && v) {
       std::string host_err;
       if (!runtime::parse_host_list(v, &cfg.socket.hosts, &host_err)) {
@@ -690,14 +680,12 @@ int main(int argc, char** argv) {
                   runtime::latency_model_name(cfg.latency_model));
     } else {
       const std::uint32_t nprocs = cfg.socket.resolve_processes(cfg.num_dcs);
-      const std::vector<runtime::Endpoint> hosts =
-          cfg.socket.hosts.empty()
-              ? runtime::loopback_host_list(nprocs, cfg.socket.base_port)
-              : cfg.socket.hosts;
       std::printf(
           "runtime: sockets, %u processes on %s (hw concurrency %u), "
           "latency model %s, outbound budget %llu KiB\n",
-          nprocs, runtime::format_host_list(hosts).c_str(),
+          nprocs,
+          cfg.socket.hosts.empty() ? "free loopback ports"
+                                   : runtime::format_host_list(cfg.socket.hosts).c_str(),
           std::thread::hardware_concurrency(),
           runtime::latency_model_name(cfg.latency_model),
           static_cast<unsigned long long>(cfg.socket.outbound_budget / 1024));

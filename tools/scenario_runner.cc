@@ -12,7 +12,7 @@
 //
 // Examples:
 //   scenario_runner --seeds=25 --system=both --runtime=threads
-//   scenario_runner --seeds=5 --runtime=sockets --listen-base-port=7850
+//   scenario_runner --seeds=5 --runtime=sockets
 //   scenario_runner --replay-dir=tests/corpus
 //   scenario_runner --seeds=6 --emit-corpus=tests/corpus   # pin green seeds
 
@@ -66,7 +66,6 @@ constexpr std::uint64_t kDefaultTimeScale = 1;
       "  --print                 print each schedule before running it\n"
       "  --time-scale=K          stretch all schedule windows by K (default %llu;\n"
       "                          sanitizer builds auto-scale)\n"
-      "  --listen-base-port=P    sockets: child base port (default 7800)\n"
       "  --socket-dir=PATH       sockets: per-child logs + results (default:\n"
       "                          fresh temp dirs)\n"
       "  --help                  this text\n",
@@ -99,7 +98,6 @@ struct RunnerOptions {
   std::string emit_corpus;
   std::vector<std::string> replay_files;
   std::uint64_t time_scale = kDefaultTimeScale;
-  std::uint16_t base_port = 7800;
   std::string socket_dir;
 };
 
@@ -109,17 +107,15 @@ struct RunOutcome {
   workload::ExperimentResult res;
 };
 
-/// One full experiment for the scenario; socket fields the scenario does not
-/// own (port, artifact dir) come from the runner options.
+/// One full experiment for the scenario; the socket artifact dir, which the
+/// scenario does not own, comes from the runner options (ports are free
+/// loopback ports the launcher picks).
 RunOutcome run_scenario(const scenario::Scenario& s, const RunnerOptions& opt,
                         const char* tag) {
   workload::ExperimentConfig cfg;
   scenario::apply_scenario(s, cfg);
-  if (s.runtime == runtime::Kind::kSockets) {
-    cfg.socket.base_port = opt.base_port;
-    if (!opt.socket_dir.empty()) {
-      cfg.socket.dir = opt.socket_dir + "/" + tag;
-    }
+  if (s.runtime == runtime::Kind::kSockets && !opt.socket_dir.empty()) {
+    cfg.socket.dir = opt.socket_dir + "/" + tag;
   }
   RunOutcome out;
   out.res = workload::run_experiment(cfg);
@@ -289,13 +285,6 @@ int main(int argc, char** argv) {
       opt.print = true;
     } else if (parse_flag(argv[i], "--time-scale", &v) && v) {
       opt.time_scale = std::strtoull(v, nullptr, 10);
-    } else if (parse_flag(argv[i], "--listen-base-port", &v) && v) {
-      const long port = std::atol(v);
-      if (port <= 0 || port > 65000) {
-        std::fprintf(stderr, "error: --listen-base-port must be in [1, 65000]\n");
-        return 2;
-      }
-      opt.base_port = static_cast<std::uint16_t>(port);
     } else if (parse_flag(argv[i], "--socket-dir", &v) && v) {
       opt.socket_dir = v;
     } else if (parse_flag(argv[i], "--help", &v)) {
